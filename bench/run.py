@@ -158,7 +158,7 @@ def finish_denoise(ctx, res):
         frames = synth.frame_count(mixture.shape[0])
         problems += checks.check_count(res["layers"]["pursuit.frames"], frames, "pursuit.frames")
         problems += checks.check_count(res["layers"]["stft.frames"], frames, "stft.frames")
-    return problems, {"sdr_gain_db": ("dB", gain)}
+    return problems, {"sdr_gain_db": gain}
 
 
 OBJECTIVE_LINE = re.compile(r"^iteration=\d+ objective=(\S+) atoms_replaced=\d+$", re.M)
@@ -177,7 +177,7 @@ def finish_train(ctx, res):
                                        res["layers"]["pursuit.calls"] * frames, "pursuit.frames")
     if not objectives:
         return problems, {}
-    return problems, {"fit_db": ("dB", 10.0 * np.log10(energy / objectives[-1]))}
+    return problems, {"fit_db": float(10.0 * np.log10(energy / objectives[-1]))}
 
 
 def finish_margin(ctx, res):
@@ -195,7 +195,7 @@ def finish_margin(ctx, res):
             margins.append(sdr["po"] - sdr["pb"])
     margin = float(np.mean(margins))
     problems += checks.check_positive(margin, "margin_db")
-    return problems, {"margin_db": ("dB", margin)}
+    return problems, {"margin_db": margin}
 
 
 SETUP = {"denoise_audio": setup_denoise, "train_audio": setup_train, "margin_synth": setup_margin}
@@ -223,6 +223,7 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    startup_s = process_age()
 
     if not os.path.isfile(os.path.join(ROOT, "src", "poksvd", "cli.py")):
         print("error: %s holds no poksvd sources (src/poksvd)" % ROOT, file=sys.stderr)
@@ -245,6 +246,14 @@ def main(argv=None):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    # Every workload reports every end-to-end metric, so its one quality
+    # figure goes out as quality_db: sdr_gain_db, fit_db or margin_db.
+    if not quality:
+        for p in problems:
+            print("check failed: %s" % p, file=sys.stderr)
+        print("error: no output to measure the %s quality on" % args.workload, file=sys.stderr)
+        return 1
+    ((quality_name, quality_db),) = quality.items()
     run_s = statistics.median(res["times"])
     failed = sum(1 for rc in res["rcs"] if rc != 0)
     for p in problems:
@@ -253,6 +262,9 @@ def main(argv=None):
           % (args.workload, args.seed, len(res["times"]), ["%.3f" % t for t in res["times"]], run_s,
              ["%.3f" % t for t in res["cpu_times"]],
              setup_s + res["ready_s"], "traced" if args.trace else "untraced"), file=sys.stderr)
+    print("set-up: start-up %.3f s, inputs %.3f s, worker ready %.3f s"
+          % (startup_s, setup_s - startup_s, res["ready_s"]), file=sys.stderr)
+    print("quality_db = %s = %.6f dB" % (quality_name, quality_db), file=sys.stderr)
     if args.trace:
         metrics = {k: {"value": res["layers"][k], "unit": u} for k, u in PER_LAYER.items()}
     else:
@@ -261,7 +273,7 @@ def main(argv=None):
             "run_s": {"value": run_s, "unit": "s"},
             "peak_rss_mb": {"value": res["peak_rss_mb"], "unit": "MB"},
         }
-        metrics.update({k: {"value": v, "unit": u} for k, (u, v) in quality.items()})
+        metrics["quality_db"] = {"value": quality_db, "unit": "dB"}
     print(json.dumps({"correct": not problems, "attempted": len(res["times"]), "failed": failed,
                       "metrics": metrics}))
     return 0

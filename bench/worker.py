@@ -4,8 +4,8 @@ its peak resident memory leaves out the inputs that set-up generated.
 Usage: PYTHONPATH=src python3 bench/worker.py SPEC.json, with SPEC.json
 written by run.py, which also pins the BLAS/OpenMP thread pools to one thread
 in the environment it passes down.  Makes one
-untimed warm-up call, then repeats the operation until it has run at least
-``min_repeats`` times and for at least ``seconds``, and writes per-repeat
+untimed warm-up call, then repeats the operation at least ``min_repeats``
+times and for as many more as fit in ``seconds``, and writes per-repeat
 wall times, exit codes and output digests to the spec's ``result_path``.
 """
 
@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import resource
+import statistics
 import sys
 import time
 
@@ -101,7 +102,10 @@ def main(spec_path):
     times, cpu_times, rcs, digests, layers = [], [], [], [], []
     stderr_text, arrays = "", None
     began = time.perf_counter()
-    while len(times) < spec["min_repeats"] or time.perf_counter() - began < spec["seconds"]:
+    # Stop before a repeat that would likely run past ``seconds``, so that a
+    # run lasts about max(seconds, min_repeats repeats) whatever the repeat's length.
+    while (len(times) < spec["min_repeats"]
+           or time.perf_counter() - began + statistics.median(times) <= spec["seconds"]):
         poksvd.linalg.diagnostics.reset()
         if tracer is not None:
             tracer.repeat = len(times)
