@@ -5,6 +5,7 @@ from .dictio import load_dictionary, save_dictionary
 from .learning import LearningConfig, TrainedModel, init_dictionary, po_ksvd, update_atom
 from .linalg import dominant_singular_triple, least_squares_solve
 from .model import (
+    CodingBatch,
     CodingResult,
     Dictionary,
     PhaseMatrix,
@@ -28,6 +29,7 @@ from .wavio import read_wav, write_wav
 __version__ = "0.1.0"
 
 __all__ = [
+    "CodingBatch",
     "CodingResult",
     "Dictionary",
     "EvalReport",

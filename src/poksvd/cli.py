@@ -16,7 +16,7 @@ import numpy as np
 from .dictio import DictionaryFileError, load_dictionary, save_dictionary
 from .learning import LearningConfig, po_ksvd
 from .pipeline import SyntheticSpec, denoise, evaluate, generate_synthetic
-from .pursuit import PursuitConfig, po_omp
+from .pursuit import PursuitConfig, po_omp_batch
 from .stft import StftConfig, istft, stft
 from .wavio import WavError, read_wav, write_wav
 
@@ -195,9 +195,7 @@ def cmd_code(args):
         frames = stft(samples[:, chans], cfg).frame_matrix()
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        pcfg = _pursuit_config(args)
-        for t in range(frames.shape[1]):
-            res = po_omp(frames[:, t], D, pcfg)
+        for t, res in enumerate(po_omp_batch(frames, D, _pursuit_config(args))):
             rec = {
                 "frame": t,
                 "support": list(res.code.support),

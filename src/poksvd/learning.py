@@ -9,6 +9,7 @@ With ``phase_optimization`` off the loop is classic K-SVD.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 
@@ -16,10 +17,11 @@ import numpy as np
 
 from .linalg import PowerIterationError, dominant_singular_triple
 from .model import (
+    CodingBatch,
     Dictionary,
     PhaseMatrix,
     SparseCode,
-    apply_phased_dictionary,
+    atom_contribution,
     normalize_atom,
     normalize_atom_global,
 )
@@ -87,30 +89,6 @@ def init_dictionary(Y, channels, num_atoms, seed, phase_optimization=True):
             atoms[:, i] = normalize_atom_global(Y[:, t])[0]
     bins = Y.shape[0] // channels
     return Dictionary(channels=channels, bins=bins, atoms=atoms)
-
-
-def _reconstruction(D, code, phase):
-    return apply_phased_dictionary(D, phase, code)
-
-
-def compute_atom_residual(Y, D, codes, phases, k):
-    """E_k: the data minus every atom's contribution except atom k's.
-
-    Column t is y_t - sum_{j != k} x_{jt} (phase-corrected atom j),
-    equivalently the full residual plus atom k's own contribution.
-    """
-    Y = np.asarray(Y, dtype=np.complex128)
-    E = np.empty_like(Y)
-    blocks = D.blocks()
-    for t in range(Y.shape[1]):
-        code, ph = codes[t], phases[t]
-        col = Y[:, t].copy()
-        for j in code.support:
-            if j == k:
-                continue
-            col -= code.gains[j] * (ph.column(j)[:, None] * blocks[:, :, j]).ravel()
-        E[:, t] = col
-    return E
 
 
 def _restricted_objective(A_rot, d, x):
@@ -203,73 +181,80 @@ def po_ksvd(Y, channels, cfg, progress=None):
     D = init_dictionary(Y, channels, K, cfg.seed, phase_opt)
     F = D.bins
 
-    codes = [SparseCode(gains=np.zeros(K), support=[]) for _ in range(T)]
-    phases = [PhaseMatrix(bins=F) for _ in range(T)]
-    R = Y.copy()  # running residual, one column per frame
+    s = cfg.pursuit.s_max
+    # frame t's code, in po_omp_batch's layout; residual is the running residual
+    state = CodingBatch(
+        K,
+        np.zeros((s, T), dtype=int),
+        np.zeros(T, dtype=int),
+        np.zeros((T, s)),
+        np.zeros((F, s, T), dtype=np.complex128),
+        Y.copy(),
+    )
 
     def replacement_atom(frame):
         if phase_opt:
             return normalize_atom(Y[:, frame], channels)[0]
         return normalize_atom_global(Y[:, frame])[0]
 
+    def frames_using(k):
+        """(frames, slots) where atom k has a positive gain, in frame order."""
+        used = (state.support == k) & (np.arange(s)[:, None] < state.lengths) & (state.gains.T > 0)
+        return np.nonzero(used.T)
+
+    def contribution(k, frames, slots):
+        return atom_contribution(
+            D.blocks()[:, :, k], state.gains[frames, slots], state.columns[:, slots, frames]
+        )
+
     def coding_pass():
-        for t, res in enumerate(po_omp_batch(Y, D, cfg.pursuit)):
-            if cfg.external_inference and res.residual_norm > np.linalg.norm(R[:, t]):
-                continue
-            codes[t] = res.code
-            phases[t] = res.phases
-            R[:, t] = res.residual
+        new = po_omp_batch(Y, D, cfg.pursuit)
+        take = np.ones(T, dtype=bool)
+        if cfg.external_inference:
+            take = ~(np.linalg.norm(new.residual, axis=0) > np.linalg.norm(state.residual, axis=0))
+        state.support[:, take] = new.support[:, take]
+        state.lengths[take] = new.lengths[take]
+        state.gains[take] = new.gains[take]
+        state.columns[:, :, take] = new.columns[:, :, take]
+        state.residual[:, take] = new.residual[:, take]
 
     def update_pass():
         replaced = 0
-        blocks = D.blocks()
         for k in range(K):
-            frames_k = [t for t in range(T) if codes[t].gains[k] > 0]
-            if not frames_k:
-                worst = int(np.argmax(np.linalg.norm(R, axis=0)))
+            frames, slots = frames_using(k)
+            if frames.size == 0:
+                worst = int(np.argmax(np.linalg.norm(state.residual, axis=0)))
                 if np.linalg.norm(Y[:, worst]) > 0:
                     D.atoms[:, k] = replacement_atom(worst)
-                    blocks = D.blocks()
                     replaced += 1
                 continue
             # E_k restricted = residual plus atom k's current contribution
-            contrib = np.stack(
-                [
-                    codes[t].gains[k] * (phases[t].column(k)[:, None] * blocks[:, :, k]).ravel()
-                    for t in frames_k
-                ],
-                axis=1,
-            )
-            E_sub = R[:, frames_k] + contrib
+            E_sub = state.residual[:, frames] + contribution(k, frames, slots)
             if np.linalg.norm(E_sub) == 0:
                 continue
-            phase_rows = np.stack([phases[t].column(k) for t in frames_k], axis=1)
-            x_old = np.array([codes[t].gains[k] for t in frames_k])
             d_new, x_new, phase_rows_new = update_atom(
-                E_sub, list(range(len(frames_k))), D.atoms[:, k], x_old, phase_rows, cfg, channels
+                E_sub, list(range(frames.size)), D.atoms[:, k], state.gains[frames, slots],
+                state.columns[:, slots, frames], cfg, channels,
             )
             D.atoms[:, k] = d_new
-            blocks = D.blocks()
-            for i, t in enumerate(frames_k):
-                codes[t].gains[k] = x_new[i]
-                phases[t].columns[k] = phase_rows_new[:, i]
-                R[:, t] = E_sub[:, i] - x_new[i] * (
-                    phase_rows_new[:, i][:, None] * blocks[:, :, k]
-                ).ravel()
+            state.gains[frames, slots] = x_new
+            state.columns[:, slots, frames] = phase_rows_new
+            state.residual[:, frames] = E_sub - contribution(k, frames, slots)
         return replaced
 
-    def dedupe_pass():
+    def dedupe_pass(G):
         """Replace one atom of each near-duplicate pair with the worst frame.
 
-        The caller re-runs coding and updates afterwards and keeps the
-        result only if the objective did not increase, so this cannot break
-        the monotone trace.  Returns the number of atoms replaced.
+        G is the atoms' overlap with a zero diagonal.  The caller re-runs
+        coding and updates afterwards and keeps the result only if the
+        objective did not increase, so this cannot break the monotone
+        trace.  Returns the number of atoms replaced.
         """
-        blocks = D.blocks()
-        G = np.abs(np.einsum("fmj,fmk->fjk", blocks.conj(), blocks)).sum(axis=0)
-        np.fill_diagonal(G, 0.0)
-        usage = np.array([sum(codes[t].gains[k] ** 2 for t in range(T)) for k in range(K)])
-        frame_err = np.linalg.norm(R, axis=0)
+        slots, frames = np.nonzero(np.arange(s)[:, None] < state.lengths)
+        X = np.zeros((K, T))
+        X[state.support[slots, frames], frames] = state.gains[frames, slots]
+        usage = np.cumsum(X**2, axis=1)[:, -1]  # left-to-right sum over frames
+        frame_err = np.linalg.norm(state.residual, axis=0)
         replaced = 0
         done = set()
         for j in range(K):
@@ -280,17 +265,18 @@ def po_ksvd(Y, channels, cfg, progress=None):
                 worst = int(np.argmax(frame_err))
                 if np.linalg.norm(Y[:, worst]) == 0:
                     continue
-                blk = D.blocks()[:, :, drop]
-                for t in range(T):
-                    if codes[t].gains[drop] > 0:
-                        R[:, t] += codes[t].gains[drop] * (
-                            phases[t].column(drop)[:, None] * blk
-                        ).ravel()
-                        codes[t].gains[drop] = 0.0
-                        codes[t].support.remove(drop)
-                        phases[t].columns.pop(drop, None)
+                frames, slots = frames_using(drop)
+                state.residual[:, frames] += contribution(drop, frames, slots)
+                # close the gap left in each frame's support
+                keep = np.ones(state.support.shape, dtype=bool)
+                keep[slots, frames] = False
+                order = np.argsort(~keep, axis=0, kind="stable")
+                state.support[:] = np.take_along_axis(state.support, order, axis=0)
+                state.gains[:] = np.take_along_axis(state.gains, order.T, axis=1)
+                state.columns[:] = np.take_along_axis(state.columns, order[None], axis=1)
+                state.lengths[frames] -= 1
                 D.atoms[:, drop] = replacement_atom(worst)
-                frame_err = np.linalg.norm(R, axis=0)
+                frame_err = np.linalg.norm(state.residual, axis=0)
                 done.update((j, k))
                 replaced += 1
         return replaced
@@ -299,28 +285,22 @@ def po_ksvd(Y, channels, cfg, progress=None):
     for it in range(cfg.max_outer_iters):
         coding_pass()
         atoms_replaced = update_pass()
-        objective = float(np.sum(np.abs(R) ** 2))
+        objective = float(np.sum(np.abs(state.residual) ** 2))
 
         if cfg.dedupe_coherence > 0 and objective > 0:
-            blocks = D.blocks()
-            G = np.abs(np.einsum("fmj,fmk->fjk", blocks.conj(), blocks)).sum(axis=0)
+            G = D.overlap()
             np.fill_diagonal(G, 0.0)
             if G.max() > cfg.dedupe_coherence:
-                saved = (
-                    D.copy(),
-                    [SparseCode(gains=c.gains.copy(), support=list(c.support)) for c in codes],
-                    [p.copy() for p in phases],
-                    R.copy(),
-                )
-                replaced = dedupe_pass()
+                saved = (D.copy(), copy.deepcopy(state))
+                replaced = dedupe_pass(G)
                 if replaced:
                     coding_pass()
                     atoms_replaced += update_pass() + replaced
-                    retry = float(np.sum(np.abs(R) ** 2))
+                    retry = float(np.sum(np.abs(state.residual) ** 2))
                     if retry <= objective:
                         objective = retry
                     else:
-                        D, codes, phases, R[:] = saved[0], saved[1], saved[2], saved[3]
+                        D, state = saved
 
         trace.append(objective)
         log.info("iteration=%d objective=%.12e atoms_replaced=%d", it + 1, objective, atoms_replaced)
@@ -331,4 +311,6 @@ def po_ksvd(Y, channels, cfg, progress=None):
             if prev == 0 or abs(prev - objective) < cfg.epsilon_outer * prev:
                 break
 
+    results = list(state)
+    codes, phases = [r.code for r in results], [r.phases for r in results]
     return TrainedModel(dictionary=D, codes=codes, phases=phases, objective_trace=trace)

@@ -43,6 +43,12 @@ class Dictionary:
     def copy(self):
         return Dictionary(self.channels, self.bins, self.atoms.copy())
 
+    def overlap(self, other=None):
+        """(K, K') matrix of sum_f |d_fj^H e_fk|: the phase-invariant overlap
+        of atom j with atom k of ``other`` (default: this dictionary)."""
+        other = self if other is None else other
+        return np.abs(np.einsum("fmj,fmk->fjk", self.blocks().conj(), other.blocks())).sum(axis=0)
+
 
 @dataclass
 class PhaseMatrix:
@@ -83,6 +89,52 @@ class CodingResult:
     phases: PhaseMatrix
     residual: np.ndarray
     residual_norm: float
+
+
+@dataclass
+class CodingBatch:
+    """Codes of T frames held as arrays, as returned by ``po_omp_batch``.
+
+    Frame t uses atoms ``support[:lengths[t], t]`` in selection order, with
+    gains ``gains[t, :lengths[t]]`` and phase columns
+    ``columns[:, :lengths[t], t]``; slots past ``lengths[t]`` carry no
+    meaning.  ``residual`` is (M*F, T).  Item t is frame t's CodingResult,
+    built on access.
+    """
+
+    num_atoms: int
+    support: np.ndarray  # (s, T) atom indices
+    lengths: np.ndarray  # (T,)
+    gains: np.ndarray  # (T, s)
+    columns: np.ndarray  # (F, s, T)
+    residual: np.ndarray  # (M*F, T)
+
+    def __len__(self):
+        return self.residual.shape[1]
+
+    def __getitem__(self, t):
+        t = range(len(self))[t]
+        n = self.lengths[t]
+        support = self.support[:n, t].tolist()
+        gains = np.zeros(self.num_atoms)
+        gains[support] = self.gains[t, :n]
+        columns = {k: self.columns[:, l, t].copy() for l, k in enumerate(support)}
+        return CodingResult(
+            code=SparseCode(gains=gains, support=support),
+            phases=PhaseMatrix(bins=self.columns.shape[0], columns=columns),
+            residual=self.residual[:, t].copy(),
+            residual_norm=float(np.linalg.norm(self.residual[:, t])),
+        )
+
+
+def atom_contribution(block, gains, columns):
+    """One atom's phase-corrected contribution to several frames.
+
+    block is the atom's (F, M) bin blocks, gains (n,) and columns (F, n)
+    its gains and phase columns in those frames; returns (M*F, n) whose
+    column i is gains[i] * (columns[:, i, None] * block).ravel().
+    """
+    return (gains * (columns[:, None, :] * block[:, :, None])).reshape(-1, gains.size)
 
 
 def apply_phased_dictionary(D, phases, code):

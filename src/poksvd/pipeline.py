@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, normalize_atom
 from .pursuit import PursuitConfig, po_omp_batch
@@ -58,8 +57,7 @@ class EvalReport:
 
 def dictionary_coherence(D):
     """max_{j != k} sum_f |<d_fj | d_fk>|, the phase-invariant atom overlap."""
-    blocks = D.blocks()
-    G = np.abs(np.einsum("fmj,fmk->fjk", blocks.conj(), blocks)).sum(axis=0)
+    G = D.overlap()
     np.fill_diagonal(G, 0.0)
     return float(G.max()) if D.num_atoms > 1 else 0.0
 
@@ -160,9 +158,7 @@ def denoise(mixture, D, cfg=None, mask=False, floor_quantile=0.1):
     Y = mixture.frame_matrix()
     if Y.shape[0] != D.channels * D.bins:
         raise ValueError("mixture shape does not match the dictionary")
-    noise = np.empty_like(Y)
-    for t, res in enumerate(po_omp_batch(Y, D, cfg)):
-        noise[:, t] = Y[:, t] - res.residual
+    noise = Y - po_omp_batch(Y, D, cfg).residual
     target = Y - noise
     target_spec = Spectrogram.from_frame_matrix(target, mixture.channels, mixture.config)
     noise_spec = Spectrogram.from_frame_matrix(noise, mixture.channels, mixture.config)
@@ -252,11 +248,11 @@ def atom_match_score(D_learned, D_true):
     (best_per_true_atom, assignment_scores) where the second entry uses the
     optimal one-to-one matching.
     """
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
+
     if (D_learned.channels, D_learned.bins) != (D_true.channels, D_true.bins):
         raise ValueError("dictionaries have different (M, F)")
-    bl = D_learned.blocks()
-    bt = D_true.blocks()
-    S = np.abs(np.einsum("fmk,fmj->fkj", bl.conj(), bt)).sum(axis=0)  # (K_learned, K_true)
+    S = D_learned.overlap(D_true)  # (K_learned, K_true)
     best = S.max(axis=0)
     rows, cols = linear_sum_assignment(-S)
     assigned = np.zeros(D_true.num_atoms)

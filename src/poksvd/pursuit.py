@@ -1,4 +1,4 @@
-"""Greedy phase-optimized sparse coding of one frame (PO-OMP).
+"""Greedy phase-optimized sparse coding (PO-OMP), frames coded in lockstep.
 
 Each outer step selects the atom whose per-bin phase-rotated copy best
 matches the residual, then alternately refines all gains (least squares on
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import diagnostics, least_squares_solve
-from .model import CodingResult, PhaseMatrix, SparseCode
+from .model import CodingBatch
 
 
 @dataclass
@@ -40,12 +40,6 @@ class PursuitConfig:
             raise ValueError("selection_rule must be 'derived' or 'literal'")
 
 
-def _bin_correlations(residual, D):
-    """b_{fk} = <r_f | d_{fk}> = d_{fk}^H r_f, shape (F, K)."""
-    R = residual.reshape(D.bins, D.channels)
-    return np.einsum("fmk,fm->fk", D.blocks().conj(), R)
-
-
 def select_best_atom(residual, D, excluded=frozenset(), cfg=None):
     """Pick the atom best matching the residual under optimal per-bin phases.
 
@@ -54,40 +48,18 @@ def select_best_atom(residual, D, excluded=frozenset(), cfg=None):
     unit-norm atoms; the literal alternative |sum_f b/|b|| is available via
     ``cfg.selection_rule``.  A zero best score means the residual is
     orthogonal to every candidate; the caller treats gain 0 as a stop.
+    One-frame view of the batched scoring in ``po_omp_batch``.
     """
     cfg = cfg or PursuitConfig()
-    B = _bin_correlations(residual, D)
-    K = D.num_atoms
-    if not cfg.phase_optimization:
-        # classic OMP: full-vector correlation, constant phase column
-        b = D.atoms.conj().T @ residual
-        scores = np.abs(b)
-    elif cfg.selection_rule == "literal":
-        absB = np.abs(B)
-        U = np.where(absB > 0, B / np.where(absB > 0, absB, 1.0), 0.0)
-        scores = np.abs(U.sum(axis=0))
-    else:
-        scores = np.abs(B).sum(axis=0)
-
-    mask = np.zeros(K, dtype=bool)
-    for k in excluded:
-        mask[k] = True
+    R3 = np.asarray(residual, dtype=np.complex128).reshape(D.bins, D.channels, 1)
+    scores, B = _batch_scores(R3, D.blocks(), D.atoms, cfg)
+    mask = np.isin(np.arange(D.num_atoms), list(excluded))
     if mask.all():
         raise ValueError("no candidate atoms left")
-    scores = np.where(mask, -1.0, scores)
+    scores = np.where(mask, -1.0, scores[:, 0])
     k = int(np.argmax(scores))  # argmax breaks ties by lowest index
     gain = float(max(scores[k], 0.0))
-
-    if not cfg.phase_optimization:
-        bk = b[k]
-        phi = bk / np.abs(bk) if bk != 0 else 1.0 + 0.0j
-        column = np.full(D.bins, phi, dtype=np.complex128)
-    else:
-        col = B[:, k]
-        absc = np.abs(col)
-        column = np.where(absc > 0, col / np.where(absc > 0, absc, 1.0), 1.0 + 0.0j)
-        column = column.astype(np.complex128)
-    return k, gain, column
+    return k, gain, _selected_columns(B, np.array([k]), D.bins, cfg)[:, 0]
 
 
 def refine_support(y, D, support, columns, cfg):
@@ -95,64 +67,16 @@ def refine_support(y, D, support, columns, cfg):
 
     columns is a list of length-F phase columns, one per support atom, in
     support order.  Returns (gains, columns, residual); ||r||_2 is
-    non-increasing across every alternation step.
+    non-increasing across every alternation step.  One-frame view of the
+    batched refinement in ``po_omp_batch``.
     """
     if not support:
         raise ValueError("empty support")
-    F, M = D.bins, D.channels
-    s = len(support)
-    ab = D.blocks()[:, :, support]  # (F, M, s)
-    bin_sq = np.einsum("fms,fms->fs", ab.conj(), ab).real  # per-bin block norms
-    cols = np.stack(columns, axis=1).astype(np.complex128)  # (F, s)
-    gains = np.zeros(s)
-    r = y.copy()
-    norm_y = float(np.linalg.norm(y))
-    accept_slack = 1e-15 * norm_y**2
-    prev_norm = None
-    for sweep in range(cfg.max_refine_iters):
-        # (a) gains on the phase-corrected sub-dictionary; folding the
-        # complex solution into the phase columns leaves sub @ z invariant
-        sub = (cols[:, None, :] * ab).reshape(F * M, s)
-        z = least_squares_solve(sub, y)
-        gains = np.abs(z)
-        u = np.where(gains > 0, z / np.where(gains > 0, gains, 1.0), 1.0 + 0.0j)
-        cols = cols * u[None, :]
-        r = y - sub @ z
-        R = r.reshape(F, M)
-
-        if cfg.phase_optimization:
-            for j in range(s):
-                if gains[j] == 0:
-                    continue
-                dk = ab[:, :, j]  # (F, M)
-                b = np.einsum("fm,fm->f", dk.conj(), R)
-                # exact per-bin minimizer: the ||d_f||^2 weight matters
-                # whenever the bin blocks are not unit-norm
-                z_f = b + cols[:, j] * gains[j] * bin_sq[:, j]
-                absz = np.abs(z_f)
-                phi_new = np.where(absz > 0, z_f / np.where(absz > 0, absz, 1.0), cols[:, j])
-                delta = gains[j] * (cols[:, j] - phi_new)  # residual shift per bin
-                R_new = R + delta[:, None] * dk
-                # guard: a bin's new phase is kept only if it does not
-                # increase the residual
-                accept = (
-                    np.einsum("fm,fm->f", R_new, R_new.conj()).real
-                    <= np.einsum("fm,fm->f", R, R.conj()).real + accept_slack
-                )
-                R[accept] = R_new[accept]
-                cols[:, j] = np.where(accept, phi_new, cols[:, j])
-            r = R.ravel()
-
-        norm = float(np.linalg.norm(r))
-        if norm <= max(cfg.tau, 1e-14 * norm_y):
-            break
-        if prev_norm is not None:
-            if prev_norm == 0 or abs(prev_norm - norm) < cfg.epsilon * prev_norm:
-                break
-        prev_norm = norm
-    else:
-        diagnostics.refine_cap_hits += 1
-    return gains, [cols[:, j].copy() for j in range(s)], r
+    y = np.asarray(y, dtype=np.complex128)[:, None]
+    supp = np.array(support)[:, None]
+    cols = np.stack(columns, axis=1).astype(np.complex128)[:, :, None]
+    gains, cols, r = _batch_refine(y, D.blocks(), supp, cols, cfg, np.ones(1, dtype=bool))
+    return gains[0], list(cols[:, :, 0].T), r[:, 0]
 
 
 def _batch_scores(R3, blocks, atoms, cfg):
@@ -213,11 +137,14 @@ def _batch_refine(Y, blocks, supp, cols, cfg, work):
             for j in range(s):
                 dk = bg[:, :, j, :]  # (F, M, Tw)
                 b = np.einsum("fmt,fmt->ft", dk.conj(), R3)
+                # exact per-bin minimizer: the ||d_f||^2 weight matters
+                # whenever the bin blocks are not unit-norm
                 z_f = b + cw[:, j, :] * g[None, :, j] * bin_sq[:, j, :]
                 absz = np.abs(z_f)
                 phi_new = np.where(absz > 0, z_f / np.where(absz > 0, absz, 1.0), cw[:, j, :])
                 delta = (cw[:, j, :] - phi_new) * g[None, :, j]
                 R_new = R3 + delta[:, None, :] * dk
+                # a bin's new phase is kept only if it does not increase the residual
                 accept = (
                     np.einsum("fmt,fmt->ft", R_new, R_new.conj()).real
                     <= np.einsum("fmt,fmt->ft", R3, R3.conj()).real + slack[None, :]
@@ -243,81 +170,70 @@ def _batch_refine(Y, blocks, supp, cols, cfg, work):
     return gains, cols, R
 
 
+def _selected_columns(B, k_sel, bins, cfg):
+    """Initial (F, T) phase columns of the atoms ``k_sel`` chosen from the
+    correlations B of ``_batch_scores``; constant per frame in classic mode."""
+    frames = np.arange(k_sel.size)
+    if cfg.phase_optimization:
+        colB = B[:, k_sel, frames]  # (F, T)
+        absc = np.abs(colB)
+        return np.where(absc > 0, colB / np.where(absc > 0, absc, 1.0), 1.0 + 0.0j)
+    bk = B[k_sel, frames]
+    phi = np.where(np.abs(bk) > 0, bk / np.where(np.abs(bk) > 0, np.abs(bk), 1.0), 1.0 + 0.0j)
+    return np.broadcast_to(phi[None, :], (bins, k_sel.size)).copy()
+
+
 def po_omp_batch(Y, D, cfg=None):
-    """PO-OMP over many frames in lockstep; returns one CodingResult per
-    column of Y.  Identical in outcome to running po_omp frame by frame,
-    but the selection, least-squares and phase sweeps are batched."""
+    """PO-OMP over the columns of Y in lockstep.
+
+    Returns a CodingBatch with s = ``cfg.s_max`` slots; ``len()`` is the
+    frame count and item t is frame t's CodingResult.  Each frame's code
+    does not depend on the other frames of the batch.
+    """
     cfg = cfg or PursuitConfig()
     Y = np.asarray(Y, dtype=np.complex128)
     mf = D.channels * D.bins
     if Y.ndim != 2 or Y.shape[0] != mf:
         raise ValueError("frame matrix must be (M*F, T) with M*F = %d" % mf)
+    if not np.isfinite(Y).all():
+        raise ValueError("frame matrix has non-finite entries")
     F, M = D.bins, D.channels
     T = Y.shape[1]
     blocks = D.blocks()
-    K = D.num_atoms
 
-    supp = np.zeros((0, T), dtype=int)
-    cols = np.zeros((F, 0, T), dtype=np.complex128)
-    gains = np.zeros((T, 0))
+    supp = np.zeros((cfg.s_max, T), dtype=int)
+    cols = np.zeros((F, cfg.s_max, T), dtype=np.complex128)
+    gains = np.zeros((T, cfg.s_max))
     R = Y.copy()
     norms = np.linalg.norm(R, axis=0)
     supp_len = np.zeros(T, dtype=int)
     greedy = np.ones(T, dtype=bool)
+    frames = np.arange(T)
 
     for i in range(cfg.s_max):
         active = greedy & (norms > cfg.tau)
         if not active.any():
             break
         scores, B = _batch_scores(R.reshape(F, M, T), blocks, D.atoms, cfg)
-        for l in range(i):
-            scores[supp[l], np.arange(T)] = -1.0
+        scores[supp[:i], frames] = -1.0
         k_sel = np.argmax(scores, axis=0)
-        g_sel = scores[k_sel, np.arange(T)]
+        g_sel = scores[k_sel, frames]
         grow = active & (g_sel > 0)
         greedy &= grow  # zero best score ends that frame's pursuit
         if not grow.any():
             break
 
-        if cfg.phase_optimization:
-            colB = B[:, k_sel, np.arange(T)]  # (F, T)
-            absc = np.abs(colB)
-            new_col = np.where(absc > 0, colB / np.where(absc > 0, absc, 1.0), 1.0 + 0.0j)
-        else:
-            bk = B[k_sel, np.arange(T)]
-            phi = np.where(np.abs(bk) > 0, bk / np.where(np.abs(bk) > 0, np.abs(bk), 1.0), 1.0 + 0.0j)
-            new_col = np.broadcast_to(phi[None, :], (F, T)).copy()
-
-        supp = np.vstack([supp, k_sel[None, :]])
-        cols = np.concatenate([cols, new_col[:, None, :]], axis=1)
+        supp[i] = k_sel
+        cols[:, i] = _selected_columns(B, k_sel, F, cfg)
         supp_len[grow] = i + 1
 
-        new_gains, new_cols, new_R = _batch_refine(Y, blocks, supp, cols, cfg, grow)
-        gains = np.concatenate([gains, np.zeros((T, 1))], axis=1)
-        gains[grow] = new_gains[grow]
-        cols[:, :, grow] = new_cols[:, :, grow]
+        new_gains, new_cols, new_R = _batch_refine(Y, blocks, supp[: i + 1], cols[:, : i + 1], cfg, grow)
+        gains[grow, : i + 1] = new_gains[grow]
+        cols[:, : i + 1, grow] = new_cols[:, :, grow]
         R[:, grow] = new_R[:, grow]
         norms = np.linalg.norm(R, axis=0)
 
-    results = []
-    for t in range(T):
-        n = supp_len[t]
-        support = [int(supp[l, t]) for l in range(n)]
-        full = np.zeros(K)
-        phase = PhaseMatrix(bins=F)
-        for l, k in enumerate(support):
-            full[k] = gains[t, l]
-            phase.columns[k] = cols[:, l, t].copy()
-        code = SparseCode(gains=full, support=support)
-        results.append(
-            CodingResult(
-                code=code,
-                phases=phase,
-                residual=R[:, t].copy(),
-                residual_norm=float(np.linalg.norm(R[:, t])),
-            )
-        )
-    return results
+    return CodingBatch(D.num_atoms, supp, supp_len, gains, cols, R)
 
 
 def po_omp(y, D, cfg=None):

@@ -92,6 +92,8 @@ def stft(signal, cfg):
         signal = signal[:, None]
     if signal.ndim != 2:
         raise ValueError("signal must be 2-D (samples, channels)")
+    if not np.isfinite(signal).all():
+        raise ValueError("signal has non-finite samples")
     n, channels = signal.shape
     wl, hop = cfg.window_len, cfg.hop
     if n < wl:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import poksvd
 from poksvd.cli import main
-from poksvd.dictio import load_dictionary
+from poksvd.dictio import load_dictionary, save_dictionary
+from poksvd.pipeline import random_dictionary
+from poksvd.stft import StftConfig
 from poksvd.wavio import read_wav, write_wav
 
 
@@ -201,9 +207,39 @@ class TestDenoiseAndEval:
                    "--reference", str(tmp_path / "none.wav")])
         assert rc == 2
 
+    def test_non_finite_input_is_rejected(self, tmp_path):
+        # 3 s of float32 stereo with one NaN sample: exit 1 and no output
+        rng = np.random.default_rng(2)
+        samples = 0.1 * rng.standard_normal((48000, 2))
+        samples[20000, 1] = np.nan
+        wav = tmp_path / "nan.wav"
+        write_wav(wav, samples, 16000)
+        assert np.isnan(read_wav(wav)[0]).sum() == 1
+        d = tmp_path / "d.bin"
+        save_dictionary(d, random_dictionary(rng, channels=2, bins=33, num_atoms=8),
+                        StftConfig(sample_rate=16000, window_len=64, hop=32))
+        out, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
+        rc = main(["denoise", "--input", str(wav), "--output", str(out), "--dict", str(d),
+                   "--emit-noise", str(noise), "--window-len", "64", "--hop", "32"])
+        assert rc == 1
+        assert not out.exists() and not noise.exists()
+        rc = main(["train", "--input", str(wav), "--output", str(tmp_path / "t.bin"),
+                   "-K", "4", "--window-len", "64", "--hop", "32"])
+        assert rc == 1
+        assert not (tmp_path / "t.bin").exists()
+
     def test_corrupt_dictionary_is_io_error(self, tmp_path, noise_wav):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
         rc = main(["denoise", "--input", str(noise_wav),
                    "--output", str(tmp_path / "c.wav"), "--dict", str(bad)])
         assert rc == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(poksvd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, poksvd.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

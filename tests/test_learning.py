@@ -3,12 +3,17 @@ import pytest
 
 from poksvd.learning import (
     LearningConfig,
-    compute_atom_residual,
     init_dictionary,
     po_ksvd,
     update_atom,
 )
-from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary
+from poksvd.model import (
+    Dictionary,
+    PhaseMatrix,
+    SparseCode,
+    apply_phased_dictionary,
+    atom_contribution,
+)
 from poksvd.pipeline import (
     SyntheticSpec,
     atom_match_score,
@@ -58,6 +63,8 @@ class TestInitDictionary:
 
 class TestComputeAtomResidual:
     def test_matches_direct_sum(self):
+        # E_k restricted to atom k's frames, as update and dedupe passes form
+        # it: the residual plus atom k's own contribution
         rng = np.random.default_rng(2)
         D = random_dictionary(rng, channels=2, bins=4, num_atoms=5)
         T = 6
@@ -72,9 +79,17 @@ class TestComputeAtomResidual:
                 pm.columns[k] = np.exp(2j * np.pi * rng.uniform(size=4))
             codes.append(SparseCode(gains=gains, support=support))
             phases.append(pm)
+        R = np.stack(
+            [Y[:, t] - apply_phased_dictionary(D, phases[t], codes[t]) for t in range(T)], axis=1
+        )
         for k in range(5):
-            E = compute_atom_residual(Y, D, codes, phases, k)
-            for t in range(T):
+            frames = [t for t in range(T) if codes[t].gains[k] > 0]
+            E = R[:, frames] + atom_contribution(
+                D.blocks()[:, :, k],
+                np.array([codes[t].gains[k] for t in frames]),
+                np.stack([phases[t].column(k) for t in frames], axis=1),
+            )
+            for i, t in enumerate(frames):
                 expected = Y[:, t].copy()
                 for j in codes[t].support:
                     if j == k:
@@ -86,7 +101,7 @@ class TestComputeAtomResidual:
                             gains=np.eye(5)[j].astype(float), support=[j]
                         ),
                     )
-                assert np.allclose(E[:, t], expected, atol=1e-12)
+                assert np.allclose(E[:, i], expected, atol=1e-12)
 
 
 class TestUpdateAtom:

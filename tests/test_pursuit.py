@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary
 from poksvd.pipeline import random_dictionary
 from poksvd.pursuit import (
     PursuitConfig,
+    _batch_refine,
     po_omp,
     po_omp_batch,
     refine_support,
@@ -238,6 +241,80 @@ class TestBatchConsistency:
         D = random_dictionary(rng, channels=2, bins=4, num_atoms=3)
         with pytest.raises(ValueError, match="frame matrix"):
             po_omp_batch(np.zeros((7, 3)), D)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_frames_rejected(self, bad):
+        rng = np.random.default_rng(18)
+        D = random_dictionary(rng, channels=2, bins=4, num_atoms=3)
+        Y = random_complex(rng, 8, 5)
+        Y[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            po_omp_batch(Y, D)
+
+
+# Generated cases on the batched kernels: (M, F, K, T, s_max, seed) with
+# M * F >= s_max so that a support's sub-dictionary can have full rank.
+GENERATED = settings(max_examples=40, deadline=None, derandomize=True)
+problems = st.tuples(
+    st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.integers(2, 8),
+    st.integers(1, 3), st.integers(0, 2**32 - 1),
+).filter(lambda p: p[0] * p[1] >= p[4])
+
+
+def generated(problem):
+    M, F, K, T, s_max, seed = problem
+    rng = np.random.default_rng(seed)
+    D = random_dictionary(rng, channels=M, bins=F, num_atoms=K)
+    return D, random_complex(rng, M * F, T), rng
+
+
+class TestGeneratedBatches:
+    @GENERATED
+    @given(problems, st.sampled_from(["derived", "literal"]))
+    def test_frame_code_independent_of_batch(self, problem, rule):
+        # phase-optimized coding only: classic-mode scores go through a BLAS
+        # matrix product whose kernel, and so its last bits, depends on the
+        # number of columns
+        D, Y, _ = generated(problem)
+        cfg = PursuitConfig(s_max=problem[4], selection_rule=rule)
+        batch = po_omp_batch(Y, D, cfg)
+        assert len(batch) == Y.shape[1]
+        for t in range(Y.shape[1]):
+            alone, together = po_omp_batch(Y[:, t : t + 1], D, cfg)[0], batch[t]
+            assert alone.code.support == together.code.support
+            assert alone.code.gains.tobytes() == together.code.gains.tobytes()
+            assert alone.residual.tobytes() == together.residual.tobytes()
+            for k in alone.code.support:
+                assert alone.phases.column(k).tobytes() == together.phases.column(k).tobytes()
+
+    @GENERATED
+    @given(problems, st.booleans())
+    def test_reconstruction_plus_residual_is_input(self, problem, phase_optimization):
+        D, Y, _ = generated(problem)
+        cfg = PursuitConfig(s_max=problem[4], phase_optimization=phase_optimization)
+        for t, res in enumerate(po_omp_batch(Y, D, cfg)):
+            rebuilt = apply_phased_dictionary(D, res.phases, res.code)
+            assert np.allclose(rebuilt + res.residual, Y[:, t], rtol=0, atol=1e-10 * np.linalg.norm(Y[:, t]))
+
+    @GENERATED
+    @given(problems.filter(lambda p: p[0] * p[1] > p[4]), st.booleans())
+    def test_refinement_residual_nonincreasing_in_sweeps(self, problem, phase_optimization):
+        # over-determined supports only: an exact fit leaves a residual of
+        # pure rounding noise
+        D, Y, rng = generated(problem)
+        K, T = D.num_atoms, Y.shape[1]
+        s = min(problem[4], K)
+        supp = np.stack([rng.choice(K, size=s, replace=False) for _ in range(T)], axis=1)
+        cols = np.ones((D.bins, s, T), dtype=complex)
+        slack = 1e-12 * np.linalg.norm(Y, axis=0)
+        prev = np.full(T, np.inf)
+        for cap in range(1, 9):
+            cfg = PursuitConfig(s_max=s, tau=0, epsilon=1e-12, max_refine_iters=cap,
+                                phase_optimization=phase_optimization)
+            _, _, R = _batch_refine(Y, D.blocks(), supp, cols, cfg, np.ones(T, dtype=bool))
+            norms = np.linalg.norm(R, axis=0)
+            assert np.all(norms <= prev + slack)
+            prev = norms
 
 
 class TestConfigValidation:

@@ -26,6 +26,13 @@ class TestConfig:
 
 
 class TestStft:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        x = np.zeros((256, 2))
+        x[100, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            stft(x, StftConfig(sample_rate=1000, window_len=64, hop=32))
+
     def test_frame_count(self):
         cfg = StftConfig(sample_rate=1000, window_len=64, hop=16)
         x = np.zeros((64 + 5 * 16 + 3, 1))
