@@ -92,6 +92,19 @@ def _stft_config(args, rate):
     ).resolved()
 
 
+# defaults of the options train, denoise and code share: the pursuit flags
+# take PursuitConfig's; channels and STFT geometry are resolved from the input
+_CODING_DEFAULTS = dict(
+    smax=PursuitConfig.s_max,
+    tau=PursuitConfig.tau,
+    epsilon=PursuitConfig.epsilon,
+    selection_rule=PursuitConfig.selection_rule,
+    channels=None,
+    window_len=None,
+    hop=None,
+)
+
+
 def _pursuit_config(args):
     return PursuitConfig(
         s_max=args.smax,
@@ -103,13 +116,7 @@ def _pursuit_config(args):
 
 
 def cmd_train(args):
-    args = _merge(
-        args,
-        dict(
-            K=40, smax=3, tau=1e-4, epsilon=1e-3, iters=50, seed=0,
-            selection_rule="derived", channels=None, window_len=None, hop=None,
-        ),
-    )
+    args = _merge(args, dict(_CODING_DEFAULTS, K=40, iters=50, seed=0))
     samples, rate = read_wav(args.input)
     chans = _parse_channels(args.channels, samples.shape[1])
     cfg = _stft_config(args, rate)
@@ -141,13 +148,7 @@ def _check_provenance(cfg, prov):
 
 
 def cmd_denoise(args):
-    args = _merge(
-        args,
-        dict(
-            smax=3, tau=1e-4, epsilon=1e-3, seed=0, selection_rule="derived",
-            channels=None, floor_quantile=0.1, window_len=None, hop=None,
-        ),
-    )
+    args = _merge(args, dict(_CODING_DEFAULTS, floor_quantile=0.1))
     D, prov = load_dictionary(args.dict)
     samples, rate = read_wav(args.input)
     chans = _parse_channels(args.channels, samples.shape[1])
@@ -175,11 +176,7 @@ def cmd_denoise(args):
 
 
 def cmd_code(args):
-    args = _merge(
-        args,
-        dict(smax=3, tau=1e-4, epsilon=1e-3, selection_rule="derived",
-             channels=None, window_len=None, hop=None),
-    )
+    args = _merge(args, _CODING_DEFAULTS)
     D, prov = load_dictionary(args.dict)
     if args.input.endswith(".npy"):
         frames = np.load(args.input)

@@ -19,8 +19,6 @@ from .linalg import PowerIterationError, dominant_singular_triple
 from .model import (
     CodingBatch,
     Dictionary,
-    PhaseMatrix,
-    SparseCode,
     atom_contribution,
     normalize_atom,
     normalize_atom_global,
@@ -59,9 +57,16 @@ class LearningConfig:
 @dataclass
 class TrainedModel:
     dictionary: Dictionary
-    codes: list[SparseCode]
-    phases: list[PhaseMatrix]
+    coding: CodingBatch  # final codes of the training frames
     objective_trace: list[float]
+
+
+def _gauged(frame, channels, phase_optimization):
+    """A nonzero frame as a dictionary atom: per-bin gauge when phases are
+    optimized, one global rotation otherwise."""
+    if phase_optimization:
+        return normalize_atom(frame, channels)[0]
+    return normalize_atom_global(frame)[0]
 
 
 def init_dictionary(Y, channels, num_atoms, seed, phase_optimization=True):
@@ -83,10 +88,7 @@ def init_dictionary(Y, channels, num_atoms, seed, phase_optimization=True):
     picks = rng.choice(candidates, size=num_atoms, replace=False)
     atoms = np.empty((Y.shape[0], num_atoms), dtype=np.complex128)
     for i, t in enumerate(picks):
-        if phase_optimization:
-            atoms[:, i] = normalize_atom(Y[:, t], channels)[0]
-        else:
-            atoms[:, i] = normalize_atom_global(Y[:, t])[0]
+        atoms[:, i] = _gauged(Y[:, t], channels, phase_optimization)
     bins = Y.shape[0] // channels
     return Dictionary(channels=channels, bins=bins, atoms=atoms)
 
@@ -167,7 +169,8 @@ def po_ksvd(Y, channels, cfg, progress=None):
 
     Y is an (M*F, T) complex frame matrix (use Spectrogram.frame_matrix()).
     Returns a TrainedModel whose objective_trace records the summed squared
-    reconstruction error after each outer iteration.
+    reconstruction error after each outer iteration, and whose coding holds
+    the final code and residual of every frame of Y.
 
     ``progress(iteration, objective, atoms_replaced)`` is called once per
     outer iteration when given; the same record is logged at INFO level.
@@ -183,19 +186,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
 
     s = cfg.pursuit.s_max
     # frame t's code, in po_omp_batch's layout; residual is the running residual
-    state = CodingBatch(
-        K,
-        np.zeros((s, T), dtype=int),
-        np.zeros(T, dtype=int),
-        np.zeros((T, s)),
-        np.zeros((F, s, T), dtype=np.complex128),
-        Y.copy(),
-    )
-
-    def replacement_atom(frame):
-        if phase_opt:
-            return normalize_atom(Y[:, frame], channels)[0]
-        return normalize_atom_global(Y[:, frame])[0]
+    state = CodingBatch.empty(K, s, F, Y.copy())
 
     def frames_using(k):
         """(frames, slots) where atom k has a positive gain, in frame order."""
@@ -204,7 +195,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
 
     def contribution(k, frames, slots):
         return atom_contribution(
-            D.blocks()[:, :, k], state.gains[frames, slots], state.columns[:, slots, frames]
+            D.blocks()[:, :, k, None], state.gains[frames, slots], state.columns[:, slots, frames]
         )
 
     def coding_pass():
@@ -225,7 +216,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
             if frames.size == 0:
                 worst = int(np.argmax(np.linalg.norm(state.residual, axis=0)))
                 if np.linalg.norm(Y[:, worst]) > 0:
-                    D.atoms[:, k] = replacement_atom(worst)
+                    D.atoms[:, k] = _gauged(Y[:, worst], channels, phase_opt)
                     replaced += 1
                 continue
             # E_k restricted = residual plus atom k's current contribution
@@ -275,7 +266,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
                 state.gains[:] = np.take_along_axis(state.gains, order.T, axis=1)
                 state.columns[:] = np.take_along_axis(state.columns, order[None], axis=1)
                 state.lengths[frames] -= 1
-                D.atoms[:, drop] = replacement_atom(worst)
+                D.atoms[:, drop] = _gauged(Y[:, worst], channels, phase_opt)
                 frame_err = np.linalg.norm(state.residual, axis=0)
                 done.update((j, k))
                 replaced += 1
@@ -311,6 +302,4 @@ def po_ksvd(Y, channels, cfg, progress=None):
             if prev == 0 or abs(prev - objective) < cfg.epsilon_outer * prev:
                 break
 
-    results = list(state)
-    codes, phases = [r.code for r in results], [r.phases for r in results]
-    return TrainedModel(dictionary=D, codes=codes, phases=phases, objective_trace=trace)
+    return TrainedModel(dictionary=D, coding=state, objective_trace=trace)

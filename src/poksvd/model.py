@@ -66,9 +66,6 @@ class PhaseMatrix:
         except KeyError:
             raise ValueError("no phase column for atom %d (off support)" % k)
 
-    def copy(self):
-        return PhaseMatrix(self.bins, {k: c.copy() for k, c in self.columns.items()})
-
 
 @dataclass
 class SparseCode:
@@ -76,9 +73,6 @@ class SparseCode:
 
     gains: np.ndarray  # length K, zeros off support
     support: list[int] = field(default_factory=list)
-
-    def copy(self):
-        return SparseCode(self.gains.copy(), list(self.support))
 
 
 @dataclass
@@ -109,6 +103,16 @@ class CodingBatch:
     columns: np.ndarray  # (F, s, T)
     residual: np.ndarray  # (M*F, T)
 
+    @classmethod
+    def empty(cls, num_atoms, slots, bins, residual):
+        """Frames with ``slots`` zeroed slots and none in use; the batch
+        takes ``residual`` (M*F, T) as its residual array."""
+        T = residual.shape[1]
+        return cls(
+            num_atoms, np.zeros((slots, T), dtype=int), np.zeros(T, dtype=int),
+            np.zeros((T, slots)), np.zeros((bins, slots, T), dtype=np.complex128), residual,
+        )
+
     def __len__(self):
         return self.residual.shape[1]
 
@@ -127,29 +131,49 @@ class CodingBatch:
         )
 
 
-def atom_contribution(block, gains, columns):
-    """One atom's phase-corrected contribution to several frames.
+def atom_contribution(blocks, gains, columns):
+    """Phase-corrected contributions of one atom slot to several frames.
 
-    block is the atom's (F, M) bin blocks, gains (n,) and columns (F, n)
-    its gains and phase columns in those frames; returns (M*F, n) whose
-    column i is gains[i] * (columns[:, i, None] * block).ravel().
+    blocks is the (F, M, n) bin blocks of the atom each frame uses (a
+    trailing axis of 1 broadcasts one atom to all frames), gains (n,) and
+    columns (F, n) their gains and phase columns; returns (M*F, n) whose
+    column i is gains[i] * (columns[:, i, None] * blocks[:, :, i]).ravel().
     """
-    return (gains * (columns[:, None, :] * block[:, :, None])).reshape(-1, gains.size)
+    F, M = blocks.shape[:2]
+    return (gains * (columns[:, None, :] * blocks)).reshape(F * M, gains.size)
+
+
+def reconstruct(D, batch):
+    """Phase-corrected synthesis of every frame of a CodingBatch.
+
+    Returns the (M*F, T) array whose column t is
+    sum_l gains[t, l] * [phi_1 d_1; ...; phi_F d_F] over frame t's slots,
+    summed slot by slot in selection order.
+    """
+    out = np.zeros((D.channels * D.bins, len(batch)), dtype=np.complex128)
+    blocks = D.blocks()
+    for l in range(batch.support.shape[0]):
+        frames = np.flatnonzero(l < batch.lengths)
+        out[:, frames] += atom_contribution(
+            blocks[:, :, batch.support[l, frames]], batch.gains[frames, l], batch.columns[:, l, frames]
+        )
+    return out
 
 
 def apply_phased_dictionary(D, phases, code):
     """Reconstruct sum_k x_k * [phi_{1k} d_{1k}; ...; phi_{Fk} d_{Fk}].
 
-    Only support atoms contribute; a missing phase column on the support is
-    a contract violation.
+    One-frame view of ``reconstruct``.  Only support atoms contribute; a
+    missing phase column on the support is a contract violation.
     """
-    out = np.zeros(D.channels * D.bins, dtype=np.complex128)
-    blocks = D.blocks()
-    for k in code.support:
-        x = code.gains[k]
-        col = phases.column(k)
-        out += x * (col[:, None] * blocks[:, :, k]).ravel()
-    return out
+    n = len(code.support)
+    batch = CodingBatch.empty(D.num_atoms, n, D.bins, np.zeros((D.channels * D.bins, 1)))
+    batch.support[:, 0] = code.support
+    batch.lengths[0] = n
+    batch.gains[0] = code.gains[code.support]
+    for l, k in enumerate(code.support):
+        batch.columns[:, l, 0] = phases.column(k)
+    return reconstruct(D, batch)[:, 0]
 
 
 def normalize_atom(atom, channels):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, normalize_atom
+from .model import CodingBatch, Dictionary, normalize_atom, reconstruct
 from .pursuit import PursuitConfig, po_omp_batch
 from .stft import Spectrogram
 
@@ -122,30 +122,24 @@ def generate_synthetic(spec):
     D = random_dictionary(
         rng, spec.channels, spec.bins, spec.num_atoms, spec.max_coherence
     )
-    mf = spec.channels * spec.bins
-    Y = np.zeros((mf, spec.frames), dtype=np.complex128)
-    codes, phase_mats = [], []
-    for t in range(spec.frames):
-        gains = np.zeros(spec.num_atoms)
-        support = []
-        pm = PhaseMatrix(bins=spec.bins)
-        if spec.s_max > 0:
-            support = sorted(
-                rng.choice(spec.num_atoms, size=spec.s_max, replace=False).tolist()
-            )
-            for k in support:
-                gains[k] = rng.uniform(*spec.gain_range)
-                pm.columns[k] = np.exp(2j * np.pi * rng.uniform(size=spec.bins))
-        code = SparseCode(gains=gains, support=support)
-        Y[:, t] = apply_phased_dictionary(D, pm, code)
+    mf, T, s = spec.channels * spec.bins, spec.frames, spec.s_max
+    # the truth's residual is the added noise
+    noise = np.zeros((mf, T), dtype=np.complex128)
+    truth = CodingBatch.empty(spec.num_atoms, s, spec.bins, noise)
+    truth.lengths[:] = s
+    for t in range(T):
+        truth.support[:, t] = np.sort(rng.choice(spec.num_atoms, size=s, replace=False))
+        for l in range(s):
+            truth.gains[t, l] = rng.uniform(*spec.gain_range)
+            truth.columns[:, l, t] = np.exp(2j * np.pi * rng.uniform(size=spec.bins))
         if spec.noise_sigma > 0:
-            Y[:, t] += spec.noise_sigma * (
+            noise[:, t] = spec.noise_sigma * (
                 rng.standard_normal(mf) + 1j * rng.standard_normal(mf)
             )
-        codes.append(code)
-        phase_mats.append(pm)
+    Y = reconstruct(D, truth) + noise
     spec_out = Spectrogram.from_frame_matrix(Y, spec.channels)
-    return spec_out, {"dictionary": D, "codes": codes, "phases": phase_mats}
+    items = list(truth)
+    return spec_out, {"dictionary": D, "codes": [r.code for r in items], "phases": [r.phases for r in items]}
 
 
 def denoise(mixture, D, cfg=None, mask=False, floor_quantile=0.1):

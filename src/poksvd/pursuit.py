@@ -201,12 +201,9 @@ def po_omp_batch(Y, D, cfg=None):
     T = Y.shape[1]
     blocks = D.blocks()
 
-    supp = np.zeros((cfg.s_max, T), dtype=int)
-    cols = np.zeros((F, cfg.s_max, T), dtype=np.complex128)
-    gains = np.zeros((T, cfg.s_max))
-    R = Y.copy()
+    batch = CodingBatch.empty(D.num_atoms, cfg.s_max, F, Y.copy())
+    supp, supp_len, gains, cols, R = batch.support, batch.lengths, batch.gains, batch.columns, batch.residual
     norms = np.linalg.norm(R, axis=0)
-    supp_len = np.zeros(T, dtype=int)
     greedy = np.ones(T, dtype=bool)
     frames = np.arange(T)
 
@@ -233,7 +230,7 @@ def po_omp_batch(Y, D, cfg=None):
         R[:, grow] = new_R[:, grow]
         norms = np.linalg.norm(R, axis=0)
 
-    return CodingBatch(D.num_atoms, supp, supp_len, gains, cols, R)
+    return batch
 
 
 def po_omp(y, D, cfg=None):

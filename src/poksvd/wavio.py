@@ -2,7 +2,8 @@
 
 Supports PCM 16-bit and IEEE float 32-bit, any channel count.  Samples are
 exchanged as float64 arrays of shape (frames, channels) in [-1, 1] for PCM.
-Parse errors carry the byte offset of the offending structure.
+Parse errors carry the byte offset of the offending structure.  A trailing
+partial sample or partial frame at the end of the data chunk is dropped.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def read_wav(path):
         # WAVE_FORMAT_EXTENSIBLE: trust the bit depth
         audio_format = 1 if bits == 16 else 3
     if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        samples = np.frombuffer(payload, dtype="<i2", count=len(payload) // 2).astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4).astype(np.float64)
     else:
         raise WavError(
             "%s: unsupported format (code %d, %d bits); only PCM16 and float32"

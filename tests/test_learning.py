@@ -13,6 +13,7 @@ from poksvd.model import (
     SparseCode,
     apply_phased_dictionary,
     atom_contribution,
+    reconstruct,
 )
 from poksvd.pipeline import (
     SyntheticSpec,
@@ -85,7 +86,7 @@ class TestComputeAtomResidual:
         for k in range(5):
             frames = [t for t in range(T) if codes[t].gains[k] > 0]
             E = R[:, frames] + atom_contribution(
-                D.blocks()[:, :, k],
+                D.blocks()[:, :, k, None],
                 np.array([codes[t].gains[k] for t in frames]),
                 np.stack([phases[t].column(k) for t in frames], axis=1),
             )
@@ -181,16 +182,17 @@ class TestPoKsvd:
             assert b <= a + 1e-9 * trace[0]
 
     def test_reconstruction_consistency(self):
-        # codes/phases returned must reproduce the final objective
+        # the returned coding must rebuild Y with its residual and reproduce
+        # the final objective
         Y, _ = self.small_problem(seed=1)
         cfg = LearningConfig(num_atoms=4, pursuit=PursuitConfig(s_max=2),
                              max_outer_iters=5, seed=0)
         model = po_ksvd(Y, 2, cfg)
-        err = 0.0
-        for t in range(Y.shape[1]):
-            rec = apply_phased_dictionary(model.dictionary, model.phases[t], model.codes[t])
-            err += float(np.sum(np.abs(Y[:, t] - rec) ** 2))
-        assert err == pytest.approx(model.objective_trace[-1], rel=1e-8, abs=1e-10)
+        residual = model.coding.residual
+        assert len(model.coding) == Y.shape[1]
+        assert np.allclose(reconstruct(model.dictionary, model.coding) + residual, Y,
+                           rtol=0, atol=1e-10 * np.linalg.norm(Y))
+        assert float(np.sum(np.abs(residual) ** 2)) == model.objective_trace[-1]
         model.dictionary.validate()
 
     def test_learns_planted_dictionary(self):
@@ -220,6 +222,19 @@ class TestPoKsvd:
             dedupe_coherence=0.3,
         )
         model = po_ksvd(Y, 2, cfg)
+        trace = model.objective_trace
+        for a, b in zip(trace, trace[1:]):
+            assert b <= a + 1e-9 * trace[0]
+
+    def test_dedupe_can_drop_an_unused_atom(self):
+        # an atom that the update pass has just replaced is used by no frame;
+        # it can still be the atom a near-duplicate pair drops
+        rng = np.random.default_rng(21)
+        Y = random_complex(rng, 2, 9)
+        Y[:, :3] = 0
+        cfg = LearningConfig(num_atoms=5, pursuit=PursuitConfig(s_max=1), max_outer_iters=4,
+                             seed=0, dedupe_coherence=0.3)
+        model = po_ksvd(Y, 1, cfg)
         trace = model.objective_trace
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * trace[0]

@@ -86,12 +86,6 @@ class TestPhaseMatrix:
         with pytest.raises(ValueError, match="off support"):
             pm.column(3)
 
-    def test_copy_is_deep(self):
-        pm = PhaseMatrix(bins=2, columns={0: np.ones(2, dtype=complex)})
-        cp = pm.copy()
-        cp.columns[0][0] = -1
-        assert pm.columns[0][0] == 1
-
 
 class TestApplyPhasedDictionary:
     def test_matches_direct_sum(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary
+from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
 from poksvd.pipeline import random_dictionary
 from poksvd.pursuit import (
     PursuitConfig,
@@ -292,9 +292,12 @@ class TestGeneratedBatches:
     def test_reconstruction_plus_residual_is_input(self, problem, phase_optimization):
         D, Y, _ = generated(problem)
         cfg = PursuitConfig(s_max=problem[4], phase_optimization=phase_optimization)
-        for t, res in enumerate(po_omp_batch(Y, D, cfg)):
-            rebuilt = apply_phased_dictionary(D, res.phases, res.code)
-            assert np.allclose(rebuilt + res.residual, Y[:, t], rtol=0, atol=1e-10 * np.linalg.norm(Y[:, t]))
+        batch = po_omp_batch(Y, D, cfg)
+        rebuilt = reconstruct(D, batch)
+        for t, res in enumerate(batch):
+            alone = apply_phased_dictionary(D, res.phases, res.code)
+            assert rebuilt[:, t].tobytes() == alone.tobytes()
+            assert np.allclose(rebuilt[:, t] + res.residual, Y[:, t], rtol=0, atol=1e-10 * np.linalg.norm(Y[:, t]))
 
     @GENERATED
     @given(problems.filter(lambda p: p[0] * p[1] > p[4]), st.booleans())

@@ -62,6 +62,19 @@ class TestReadErrors:
         with pytest.raises(WavError, match="truncated 'data' chunk at byte"):
             read_wav(bad)
 
+    def test_trailing_partial_sample_is_dropped(self, tmp_path):
+        good = tmp_path / "good.wav"
+        write_wav(good, np.array([[0.25, -0.5]]), 8000, fmt="pcm16")
+        blob = bytearray(good.read_bytes())
+        # one stray byte after the 4-byte stereo frame: a 5-byte data chunk
+        struct.pack_into("<I", blob, 4, len(blob) - 8 + 1)
+        struct.pack_into("<I", blob, 40, 5)
+        odd = tmp_path / "odd.wav"
+        odd.write_bytes(bytes(blob) + b"\x7f")
+        y, rate = read_wav(odd)
+        assert rate == 8000
+        assert np.array_equal(y, read_wav(good)[0])
+
     def test_missing_fmt_chunk(self, tmp_path):
         payload = b"\x00\x00\x00\x00"
         blob = b"RIFF" + struct.pack("<I", 4 + 8 + len(payload)) + b"WAVE"
