@@ -148,7 +148,7 @@ def _check_provenance(cfg, prov):
 
 
 def cmd_denoise(args):
-    args = _merge(args, dict(_CODING_DEFAULTS, floor_quantile=0.1))
+    args = _merge(args, dict(_CODING_DEFAULTS, mask=False, floor_quantile=0.1))
     D, prov = load_dictionary(args.dict)
     samples, rate = read_wav(args.input)
     chans = _parse_channels(args.channels, samples.shape[1])
@@ -298,7 +298,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--channels", default=None)
-    p.add_argument("--mask", action="store_true")
+    p.add_argument("--mask", action="store_true", default=None)
     p.add_argument("--floor-quantile", dest="floor_quantile", type=float, default=None)
     p.add_argument("--emit-noise", dest="emit_noise", default=None)
     p.add_argument("--reference", default=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PowerIterationError, dominant_singular_triple
+from .linalg import PowerIterationError, dominant_singular_triple, unit_phase
 from .model import (
     CodingBatch,
     Dictionary,
@@ -37,7 +37,6 @@ class LearningConfig:
     max_outer_iters: int = 50
     max_atom_iters: int = 20
     seed: int = 0
-    external_inference: bool = True
     # near-duplicate atoms trap the alternation in local minima; pairs with
     # phase-invariant overlap above this get a tentative replacement that is
     # kept only if the objective does not increase (0 disables)
@@ -93,39 +92,35 @@ def init_dictionary(Y, channels, num_atoms, seed, phase_optimization=True):
     return Dictionary(channels=channels, bins=bins, atoms=atoms)
 
 
-def _restricted_objective(A_rot, d, x):
-    return float(np.linalg.norm(A_rot - np.outer(d, x)))
-
-
-def update_atom(E_k, support_frames, d_k, x_row, phase_rows, cfg, channels):
+def update_atom(E, phase_rows, cfg, channels):
     """Rank-1 update of one atom over the frames that use it.
 
-    E_k is (M*F, T); support_frames lists the frames with nonzero
-    activation; phase_rows is (F, len(support_frames)).  Alternates the
-    dominant-SVD step (phases frozen) with closed-form per-(f, t) phase
-    updates until the restricted objective stalls.  The nonzero support is
-    preserved exactly.
+    E is (M*F, n): the residual plus the atom's contribution on the n frames
+    whose code uses the atom; phase_rows is (F, n), the atom's phase
+    columns in those frames.  Alternates the dominant-SVD step (phases
+    frozen) with closed-form per-(f, t) phase updates until the restricted
+    objective stalls.  The nonzero support is preserved exactly.
 
-    Returns (d_k', x_values', phase_rows'); x_values' are the nonnegative
-    gains for the support frames only.
+    Returns (d', x', phase_rows'); x' are the n nonnegative gains.
     """
-    if len(support_frames) == 0:
+    A0 = np.asarray(E)
+    if A0.shape[1] == 0:
         raise ValueError("empty support")
-    A0 = np.asarray(E_k)[:, support_frames]
     if np.linalg.norm(A0) == 0:
         raise ValueError("restricted residual is zero")
     F = phase_rows.shape[0]
     M = channels
-    Tk = len(support_frames)
-    phase_rows = phase_rows.copy()
+    Tk = A0.shape[1]
+    # C order: with M = 1 the rotated matrix takes phase_rows' layout, and
+    # the last bits of the power iteration and the objective depend on it
+    phase_rows = np.ascontiguousarray(phase_rows)
     phase_opt = cfg.pursuit.phase_optimization
 
-    d = d_k.copy()
-    x = np.abs(np.asarray(x_row, dtype=float))
+    A3 = A0.reshape(F, M, Tk)
+    A_rot = (A3 * phase_rows.conj()[:, None, :]).reshape(F * M, Tk)
     prev_obj = None
     for _ in range(cfg.max_atom_iters):
-        # (a) phases frozen: conjugate-rotate columns, take the top triple
-        A_rot = (A0.reshape(F, M, Tk) * phase_rows.conj()[:, None, :]).reshape(F * M, Tk)
+        # (a) phases frozen: take the top triple of the conjugate-rotated columns
         try:
             triple = dominant_singular_triple(A_rot, tol=1e-12, max_iter=10000)
         except PowerIterationError as err:
@@ -143,21 +138,16 @@ def update_atom(E_k, support_frames, d_k, x_row, phase_rows, cfg, channels):
 
         # fold complex frame gains to nonnegative reals
         x = np.abs(x_c)
-        psi = np.where(x > 0, x_c / np.where(x > 0, x, 1.0), 1.0 + 0.0j)
-        phase_rows = phase_rows * psi[None, :]
-
-        # (b) closed-form per-(f, t) phase update on the support
-        if phase_opt:
-            Eb = A0.reshape(F, M, Tk)
-            db = d.reshape(F, M)
-            w = np.einsum("fm,fmt->ft", db.conj(), Eb) * x[None, :]
-            absw = np.abs(w)
-            phase_rows = np.where(absw > 0, w / np.where(absw > 0, absw, 1.0), phase_rows)
-
-        A_rot = (A0.reshape(F, M, Tk) * phase_rows.conj()[:, None, :]).reshape(F * M, Tk)
-        obj = _restricted_objective(A_rot, d, x)
+        phase_rows = phase_rows * unit_phase(x_c)[None, :]
         if not phase_opt:
             break
+
+        # (b) closed-form per-(f, t) phase update on the support
+        w = np.einsum("fm,fmt->ft", d.reshape(F, M).conj(), A3) * x[None, :]
+        phase_rows = unit_phase(w, phase_rows)
+
+        A_rot = (A3 * phase_rows.conj()[:, None, :]).reshape(F * M, Tk)
+        obj = float(np.linalg.norm(A_rot - np.outer(d, x)))
         if prev_obj is not None and abs(prev_obj - obj) < cfg.epsilon_atom * max(prev_obj, 1e-300):
             break
         prev_obj = obj
@@ -200,9 +190,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
 
     def coding_pass():
         new = po_omp_batch(Y, D, cfg.pursuit)
-        take = np.ones(T, dtype=bool)
-        if cfg.external_inference:
-            take = ~(np.linalg.norm(new.residual, axis=0) > np.linalg.norm(state.residual, axis=0))
+        take = ~(np.linalg.norm(new.residual, axis=0) > np.linalg.norm(state.residual, axis=0))
         state.support[:, take] = new.support[:, take]
         state.lengths[take] = new.lengths[take]
         state.gains[take] = new.gains[take]
@@ -223,10 +211,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
             E_sub = state.residual[:, frames] + contribution(k, frames, slots)
             if np.linalg.norm(E_sub) == 0:
                 continue
-            d_new, x_new, phase_rows_new = update_atom(
-                E_sub, list(range(frames.size)), D.atoms[:, k], state.gains[frames, slots],
-                state.columns[:, slots, frames], cfg, channels,
-            )
+            d_new, x_new, phase_rows_new = update_atom(E_sub, state.columns[:, slots, frames], cfg, channels)
             D.atoms[:, k] = d_new
             state.gains[frames, slots] = x_new
             state.columns[:, slots, frames] = phase_rows_new

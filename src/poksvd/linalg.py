@@ -1,8 +1,13 @@
 """Dense complex linear-algebra kernels used by the pursuit and learning loops.
 
-Only two primitives are needed: a regularized least-squares solve and the
-dominant singular triple of a complex matrix.  Both are deterministic:
-the power iteration always starts from the same (all-ones) vector.
+Three primitives are needed: a batched least-squares solve, the
+unit-modulus phase z/|z|, and the dominant singular triple of a complex
+matrix.  ``least_squares_solve`` solves the normal equations of many small
+systems in one LAPACK call; a singular system gets a small ridge and is
+counted in ``diagnostics.ridge_fallbacks`` (``refine_cap_hits`` counts
+frames whose gain/phase refinement reached its sweep cap).  All are
+deterministic: the power iteration always starts from the same (all-ones)
+vector.
 """
 
 from __future__ import annotations
@@ -50,37 +55,50 @@ class PowerIterationError(RuntimeError):
 
 
 def least_squares_solve(A, y):
-    """Minimize ||y - A x||_2 over complex x via the normal equations.
+    """Minimize ||y[:, t] - A[:, :, t] x_t||_2 over complex x_t, for every t.
 
-    If A^H A is numerically singular a small ridge proportional to
-    trace(A^H A)/cols is added and ``diagnostics.ridge_fallbacks`` is
-    incremented.
+    The normal equations of all T systems go to one batched
+    ``np.linalg.solve``.  Only if that call raises are they solved one at a
+    time, and each singular one gets a small ridge proportional to
+    trace(A^H A)/cols and counts once in ``diagnostics.ridge_fallbacks``;
+    so every regular system's solution does not depend on the others.
 
     Parameters
     ----------
-    A : (rows, cols) complex ndarray
-    y : (rows,) complex ndarray
+    A : (rows, cols, T) complex ndarray, or (rows, cols) for one system
+    y : (rows, T) complex ndarray, or (rows,) for one system
 
     Returns
     -------
-    x : (cols,) complex ndarray
+    x : (T, cols) complex ndarray, or (cols,) for one system
     """
     A = np.asarray(A, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
-        raise ValueError(
-            "dimension mismatch: A is %s, y has length %d" % (A.shape, y.shape[0])
-        )
-    G = A.conj().T @ A
-    b = A.conj().T @ y
+    if A.ndim == 2 and y.ndim == 1 and A.shape[0] == y.shape[0]:
+        return least_squares_solve(A[:, :, None], y[:, None])[0]
+    if A.ndim != 3 or y.ndim != 2 or A.shape[0] != y.shape[0] or A.shape[2] != y.shape[1]:
+        raise ValueError("dimension mismatch: A is %s, y is %s" % (A.shape, y.shape))
+    G = np.einsum("ait,ajt->tij", A.conj(), A)
+    b = np.einsum("ait,at->ti", A.conj(), y)
     try:
-        L = np.linalg.cholesky(G)
-        x = np.linalg.solve(L.conj().T, np.linalg.solve(L, b))
+        return np.linalg.solve(G, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        ridge = RIDGE_SCALE * max(np.trace(G).real, 1.0) / max(G.shape[0], 1)
-        diagnostics.ridge_fallbacks += 1
-        x = np.linalg.solve(G + ridge * np.eye(G.shape[0]), b)
+        pass
+    x = np.empty_like(b)
+    for t in range(b.shape[0]):
+        try:
+            x[t] = np.linalg.solve(G[t], b[t])
+        except np.linalg.LinAlgError:
+            ridge = RIDGE_SCALE * max(np.trace(G[t]).real, 1.0) / G.shape[1]
+            diagnostics.ridge_fallbacks += 1
+            x[t] = np.linalg.solve(G[t] + ridge * np.eye(G.shape[1]), b[t])
     return x
+
+
+def unit_phase(z, fallback=1.0):
+    """Elementwise z/|z|: the unit-modulus phase of z, ``fallback`` where z is 0."""
+    absz = np.abs(z)
+    return np.where(absz > 0, z / np.where(absz > 0, absz, 1.0), fallback)
 
 
 def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
@@ -109,21 +127,21 @@ def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
     G = A.conj().T @ A
     n = G.shape[0]
     v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
+    w = G @ v
     sigma2 = 0.0
     for _ in range(max_iter):
-        w = G @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             # start vector in the null space; deterministic restart on e_1
             v = np.zeros(n, dtype=np.complex128)
             v[0] = 1.0
+            w = G @ v
             continue
-        v_new = w / nw
-        sigma2_new = np.real(np.vdot(v_new, G @ v_new))
+        v = w / nw
+        w = G @ v
+        sigma2 = np.real(np.vdot(v, w))
         # residual of the eigen-equation decides convergence
-        resid = np.linalg.norm(G @ v_new - sigma2_new * v_new)
-        v = v_new
-        sigma2 = sigma2_new
+        resid = np.linalg.norm(w - sigma2 * v)
         if resid <= tol * max(sigma2, np.finfo(float).tiny):
             break
     else:
@@ -136,7 +154,6 @@ def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
             SingularTriple(sigma=float(sigma), left=u, right=v),
         )
 
-    sigma = float(np.sqrt(max(sigma2, 0.0)))
     u = A @ v
     nu = np.linalg.norm(u)
     if nu > 0:

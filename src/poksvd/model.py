@@ -196,15 +196,11 @@ def normalize_atom(atom, channels):
         raise ValueError("degenerate atom: zero norm")
     bins = atom.size // channels
     blocks = (atom / gain).reshape(bins, channels)
+    ref = blocks[:, 0]
+    ref = np.where(ref == 0, blocks[np.arange(bins), np.argmax(np.abs(blocks), axis=1)], ref)
     row_phases = np.ones(bins, dtype=np.complex128)
-    for f in range(bins):
-        ref = blocks[f, 0]
-        if ref == 0:
-            m = int(np.argmax(np.abs(blocks[f])))
-            ref = blocks[f, m]
-            if ref == 0:
-                continue
-        row_phases[f] = np.abs(ref) / ref
+    nz = ref != 0
+    row_phases[nz] = np.abs(ref[nz]) / ref[nz]
     normalized = (row_phases[:, None] * blocks).ravel()
     return normalized, row_phases, gain
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import unit_phase
 from .model import CodingBatch, Dictionary, normalize_atom, reconstruct
 from .pursuit import PursuitConfig, po_omp_batch
 from .stft import Spectrogram
@@ -85,8 +86,7 @@ def _decorrelate(atoms, channels, bins, limit, step=0.25, max_sweeps=500):
             for k in range(j + 1, K):
                 if coh[j, k] < target:
                     continue
-                absg = np.abs(G[:, j, k])
-                u = np.where(absg > 0, G[:, j, k] / np.where(absg > 0, absg, 1.0), 0.0)
+                u = unit_phase(G[:, j, k], 0.0)
                 bj = blocks[:, :, j]
                 bk = blocks[:, :, k]
                 updated[:, k] = (updated[:, k].reshape(bins, channels) - step * (u[:, None] * bj)).ravel()
@@ -182,8 +182,7 @@ def apply_mask(target, noise_estimate, floor_quantile=0.1):
     background = sorted_mags[:, :, :n_floor].mean(axis=2)  # (F, M)
 
     replace = mags**2 < np.abs(N) ** 2
-    phases = np.where(mags > 0, V / np.where(mags > 0, mags, 1.0), 1.0 + 0.0j)
-    out = np.where(replace, background[:, :, None] * phases, V)
+    out = np.where(replace, background[:, :, None] * unit_phase(V), V)
     return Spectrogram(values=out, config=target.config)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import diagnostics, least_squares_solve
+from .linalg import diagnostics, least_squares_solve, unit_phase
 from .model import CodingBatch
 
 
@@ -75,7 +75,7 @@ def refine_support(y, D, support, columns, cfg):
     y = np.asarray(y, dtype=np.complex128)[:, None]
     supp = np.array(support)[:, None]
     cols = np.stack(columns, axis=1).astype(np.complex128)[:, :, None]
-    gains, cols, r = _batch_refine(y, D.blocks(), supp, cols, cfg, np.ones(1, dtype=bool))
+    gains, cols, r = _batch_refine(y, D.blocks(), supp, cols, cfg)
     return gains[0], list(cols[:, :, 0].T), r[:, 0]
 
 
@@ -86,18 +86,16 @@ def _batch_scores(R3, blocks, atoms, cfg):
         return np.abs(b_full), b_full
     B = np.einsum("fmk,fmt->fkt", blocks.conj(), R3)  # (F, K, T)
     if cfg.selection_rule == "literal":
-        absB = np.abs(B)
-        U = np.where(absB > 0, B / np.where(absB > 0, absB, 1.0), 0.0)
-        return np.abs(U.sum(axis=0)), B
+        return np.abs(unit_phase(B, 0.0).sum(axis=0)), B
     return np.abs(B).sum(axis=0), B
 
 
-def _batch_refine(Y, blocks, supp, cols, cfg, work):
-    """Lockstep gain/phase alternation for the frames flagged in ``work``.
+def _batch_refine(Y, blocks, supp, cols, cfg):
+    """Lockstep gain/phase alternation for every frame of the batch.
 
-    Y (MF, T), supp (s, T), cols (F, s, T).  Operates in place on copies
-    and returns (gains (T, s), cols, R (MF, T)); frames outside ``work``
-    are left untouched (their returned entries are zeros / inputs).
+    Y (MF, T), supp (s, T), cols (F, s, T).  Returns new arrays
+    (gains (T, s), cols, R (MF, T)); a frame stops sweeping once its
+    residual norm reaches the floor or stalls.
     """
     F, M, _ = blocks.shape
     s, T = supp.shape
@@ -105,11 +103,9 @@ def _batch_refine(Y, blocks, supp, cols, cfg, work):
     R = Y.copy()
     cols = cols.copy()
     norms_y = np.linalg.norm(Y, axis=0)
-    active = work.copy()
-    idx_all = np.arange(T)
-    prev_norm = np.full(T, -1.0)
+    idx = np.arange(T)  # frames still refining
+    prev = np.full(T, np.inf)  # their last residual norms; inf never stalls
     for sweep in range(cfg.max_refine_iters):
-        idx = idx_all[active]
         if idx.size == 0:
             break
         Yw = Y[:, idx]
@@ -120,15 +116,9 @@ def _batch_refine(Y, blocks, supp, cols, cfg, work):
 
         # (a) batched least squares on the phase-corrected sub-dictionaries
         sub = (cw[:, None, :, :] * bg).reshape(F * M, s, idx.size)
-        G = np.einsum("ait,ajt->tij", sub.conj(), sub)
-        rhs = np.einsum("ait,at->ti", sub.conj(), Yw)
-        try:
-            z = np.linalg.solve(G, rhs[..., None])[..., 0]  # (Tw, s)
-        except np.linalg.LinAlgError:
-            z = np.stack([least_squares_solve(sub[:, :, t], Yw[:, t]) for t in range(idx.size)])
+        z = least_squares_solve(sub, Yw)  # (Tw, s)
         g = np.abs(z)
-        u = np.where(g > 0, z / np.where(g > 0, g, 1.0), 1.0 + 0.0j)
-        cw = cw * u.T[None, :, :]
+        cw = cw * unit_phase(z).T[None, :, :]
         Rw = Yw - np.einsum("ast,ts->at", sub, z)
 
         if cfg.phase_optimization:
@@ -140,8 +130,7 @@ def _batch_refine(Y, blocks, supp, cols, cfg, work):
                 # exact per-bin minimizer: the ||d_f||^2 weight matters
                 # whenever the bin blocks are not unit-norm
                 z_f = b + cw[:, j, :] * g[None, :, j] * bin_sq[:, j, :]
-                absz = np.abs(z_f)
-                phi_new = np.where(absz > 0, z_f / np.where(absz > 0, absz, 1.0), cw[:, j, :])
+                phi_new = unit_phase(z_f, cw[:, j, :])
                 delta = (cw[:, j, :] - phi_new) * g[None, :, j]
                 R_new = R3 + delta[:, None, :] * dk
                 # a bin's new phase is kept only if it does not increase the residual
@@ -159,14 +148,10 @@ def _batch_refine(Y, blocks, supp, cols, cfg, work):
 
         norm = np.linalg.norm(Rw, axis=0)
         done = norm <= np.maximum(cfg.tau, 1e-14 * norms_y[idx])
-        pv = prev_norm[idx]
-        done |= (pv >= 0) & ((pv == 0) | (np.abs(pv - norm) < cfg.epsilon * np.where(pv > 0, pv, 1.0)))
-        prev_norm[idx] = norm
-        still = active[idx]
-        still[done] = False
-        active[idx] = still
+        done |= (prev == 0) | (np.abs(prev - norm) < cfg.epsilon * np.where(prev > 0, prev, 1.0))
+        idx, prev = idx[~done], norm[~done]
     else:
-        diagnostics.refine_cap_hits += int(active.sum())
+        diagnostics.refine_cap_hits += idx.size
     return gains, cols, R
 
 
@@ -175,11 +160,8 @@ def _selected_columns(B, k_sel, bins, cfg):
     correlations B of ``_batch_scores``; constant per frame in classic mode."""
     frames = np.arange(k_sel.size)
     if cfg.phase_optimization:
-        colB = B[:, k_sel, frames]  # (F, T)
-        absc = np.abs(colB)
-        return np.where(absc > 0, colB / np.where(absc > 0, absc, 1.0), 1.0 + 0.0j)
-    bk = B[k_sel, frames]
-    phi = np.where(np.abs(bk) > 0, bk / np.where(np.abs(bk) > 0, np.abs(bk), 1.0), 1.0 + 0.0j)
+        return unit_phase(B[:, k_sel, frames])  # (F, T)
+    phi = unit_phase(B[k_sel, frames])
     return np.broadcast_to(phi[None, :], (bins, k_sel.size)).copy()
 
 
@@ -224,10 +206,9 @@ def po_omp_batch(Y, D, cfg=None):
         cols[:, i] = _selected_columns(B, k_sel, F, cfg)
         supp_len[grow] = i + 1
 
-        new_gains, new_cols, new_R = _batch_refine(Y, blocks, supp[: i + 1], cols[:, : i + 1], cfg, grow)
-        gains[grow, : i + 1] = new_gains[grow]
-        cols[:, : i + 1, grow] = new_cols[:, :, grow]
-        R[:, grow] = new_R[:, grow]
+        gains[grow, : i + 1], cols[:, : i + 1, grow], R[:, grow] = _batch_refine(
+            Y[:, grow], blocks, supp[: i + 1, grow], cols[:, : i + 1, grow], cfg
+        )
         norms = np.linalg.norm(R, axis=0)
 
     return batch

@@ -167,6 +167,20 @@ class TestDenoiseAndEval:
                    "--window-len", "32", "--hop", "16"])
         assert rc == 0
 
+    def test_config_file_mask_applies(self, tmp_path, noise_wav):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d))
+        cfgfile = tmp_path / "denoise.cfg"
+        cfgfile.write_text("mask = true\n")
+        common = ["denoise", "--input", str(noise_wav), "--dict", str(d),
+                  "--window-len", "32", "--hop", "16"]
+        outs = {}
+        for name, extra in (("flag", ["--mask"]), ("file", ["--config", str(cfgfile)]), ("none", [])):
+            outs[name] = tmp_path / ("%s.wav" % name)
+            assert main(common + ["--output", str(outs[name])] + extra) == 0
+        assert outs["file"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["file"].read_bytes() != outs["none"].read_bytes()
+
     def test_provenance_mismatch_rejected(self, tmp_path, noise_wav):
         d = tmp_path / "d.bin"
         main(train_args(noise_wav, d))

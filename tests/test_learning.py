@@ -125,11 +125,7 @@ class TestUpdateAtom:
             epsilon_atom=1e-9,
             max_atom_iters=100,
         )
-        d0 = random_complex(rng, F * M)
-        d0 /= np.linalg.norm(d0)
-        d, x, rows = update_atom(
-            E, list(range(T)), d0, np.ones(T), np.ones((F, T), dtype=complex), cfg, M
-        )
+        d, x, rows = update_atom(E, np.ones((F, T), dtype=complex), cfg, M)
         recon = d.reshape(F, M)[:, :, None] * rows[:, None, :] * x[None, None, :]
         assert np.linalg.norm(recon.reshape(F * M, T) - E) < 1e-6
         overlap = sum(
@@ -143,10 +139,7 @@ class TestUpdateAtom:
         rng = np.random.default_rng(4)
         E = random_complex(rng, 8, 5)
         cfg = LearningConfig(num_atoms=2, max_atom_iters=10)
-        d, x, rows = update_atom(
-            E, [0, 1, 2, 3, 4], random_complex(rng, 8), np.ones(5),
-            np.ones((4, 5), dtype=complex), cfg, 2
-        )
+        d, x, rows = update_atom(E, np.ones((4, 5), dtype=complex), cfg, 2)
         assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-10)
         blocks = d.reshape(4, 2)
         assert np.allclose(blocks[:, 0].imag, 0, atol=1e-10)
@@ -155,8 +148,7 @@ class TestUpdateAtom:
     def test_empty_support_rejected(self):
         cfg = LearningConfig(num_atoms=2)
         with pytest.raises(ValueError, match="empty support"):
-            update_atom(np.ones((4, 2), dtype=complex), [], np.ones(4, dtype=complex),
-                        np.ones(0), np.ones((2, 0), dtype=complex), cfg, 2)
+            update_atom(np.ones((4, 0), dtype=complex), np.ones((2, 0), dtype=complex), cfg, 2)
 
 
 class TestPoKsvd:

@@ -6,6 +6,7 @@ from poksvd.linalg import (
     diagnostics,
     dominant_singular_triple,
     least_squares_solve,
+    unit_phase,
 )
 
 
@@ -51,9 +52,41 @@ class TestLeastSquaresSolve:
         r_ref = np.linalg.norm(y - A @ np.linalg.lstsq(A, y, rcond=None)[0])
         assert r <= r_ref + 1e-6
 
+    def test_batch_matches_one_system_solves(self):
+        rng = np.random.default_rng(8)
+        A = random_complex(rng, 6, 3, 5)
+        y = random_complex(rng, 6, 5)
+        x = least_squares_solve(A, y)
+        assert x.shape == (5, 3)
+        for t in range(5):
+            assert x[t].tobytes() == least_squares_solve(A[:, :, t], y[:, t]).tobytes()
+
+    def test_singular_system_in_batch_leaves_the_others_alone(self):
+        rng = np.random.default_rng(9)
+        A = random_complex(rng, 6, 2, 4)
+        A[:, 1, 2] = 0  # system 2 alone has a singular Gram
+        y = random_complex(rng, 6, 4)
+        diagnostics.reset()
+        x = least_squares_solve(A, y)
+        assert diagnostics.ridge_fallbacks == 1
+        assert np.all(np.isfinite(x))
+        for t in (0, 1, 3):
+            assert x[t].tobytes() == least_squares_solve(A[:, :, t], y[:, t]).tobytes()
+        assert diagnostics.ridge_fallbacks == 1
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             least_squares_solve(np.eye(3), np.ones(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            least_squares_solve(np.ones((3, 2, 4)), np.ones((3, 5)))
+
+
+class TestUnitPhase:
+    def test_unit_modulus_and_fallback_at_zero(self):
+        z = np.array([2j, 0, -2.0, 0])
+        assert np.array_equal(unit_phase(z), [1j, 1, -1, 1])
+        assert np.array_equal(unit_phase(z, 0.0), [1j, 0, -1, 0])
+        assert np.array_equal(unit_phase(z, np.array([5, 6, 7, 8j])), [1j, 6, -1, 8j])
 
 
 class TestDominantSingularTriple:
