@@ -1,8 +1,11 @@
 """Command-line interface: train / denoise / code / synth / eval.
 
-Options may come from flags or from a ``key=value`` config file
-(``--config``); explicit flags win.  Exit codes: 0 ok, 1 computation or
-validation error, 2 I/O error.
+Any option of a subcommand may also be a ``key = value`` line of a ``--config``
+file: the key is the option's name (``window-len``, ``window_len`` or ``K``),
+the value is converted as the flag's argument would be, and a flag without an
+argument takes 1/true/yes/on or 0/false/no/off.  Explicit flags win.  Exit
+codes: 0 ok, 1 computation or validation error (a key the subcommand lacks or
+a bad value included), 2 I/O error (a missing config file included).
 """
 
 from __future__ import annotations
@@ -18,66 +21,55 @@ from .learning import LearningConfig, po_ksvd
 from .pipeline import SyntheticSpec, denoise, evaluate, generate_synthetic
 from .pursuit import PursuitConfig, po_omp_batch
 from .stft import StftConfig, istft, stft
-from .wavio import WavError, read_wav, write_wav
+from .wavio import WavError, _atomic_write, read_wav, write_wav
 
-_CONFIG_KEYS = {
-    "input": str,
-    "output": str,
-    "dict": str,
-    "channels": str,
-    "K": int,
-    "smax": int,
-    "tau": float,
-    "epsilon": float,
-    "iters": int,
-    "seed": int,
-    "mask": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "floor_quantile": float,
-    "selection_rule": str,
-    "sample_rate": int,
-    "window_len": int,
-    "hop": int,
-    "bins": int,
-    "frames": int,
-    "noise_sigma": float,
-}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _read_config_file(path):
+def _config_value(option, text):
+    """``text`` converted as ``option``'s flag would convert its argument."""
+    if option.nargs == 0:
+        if text.lower() not in _TRUE + _FALSE:
+            raise ValueError("expected one of %s" % "/".join(_TRUE + _FALSE))
+        return text.lower() in _TRUE
+    value = option.type(text) if option.type else text
+    if option.choices is not None and value not in option.choices:
+        raise ValueError("expected one of %s" % "/".join(option.choices))
+    return value
+
+
+def _install_config(parser, path):
+    """Make the ``key = value`` lines of ``path`` the defaults of ``parser``."""
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError("%s:%d: expected key=value" % (path, lineno))
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
-            values[key] = _CONFIG_KEYS[key](val)
-    return values
-
-
-def _merge(args, defaults):
-    """Fill unset (None) options from the config file, then from defaults."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
-    return args
-
-
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
+            where = "%s:%d" % (path, lineno)
+            key, eq, text = (s.strip() for s in line.partition("="))
+            if not eq:
+                raise ValueError("%s: expected key=value" % where)
+            option = options.get(key.replace("-", "_"))
+            if option is None:
+                raise ValueError("%s: %s has no option %r" % (where, parser.prog, key))
+            try:
+                values[option.dest] = _config_value(option, text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
+                raise ValueError("%s: bad value %r for %s: %s" % (where, text, key, err)) from None
+            option.required = False
+    parser.set_defaults(**values)
 
 
 def _parse_channels(spec, available):
+    """The channel indices ``--channels`` selects; all when it is unset."""
     if spec is None:
         return list(range(available))
-    idx = [int(s) for s in str(spec).split(",") if s != ""]
+    idx = [int(s) for s in spec.split(",") if s.strip()]
+    if not idx:
+        raise ValueError("no channels selected")
     for i in idx:
         if not (0 <= i < available):
             raise ValueError("channel %d out of range (input has %d)" % (i, available))
@@ -85,24 +77,7 @@ def _parse_channels(spec, available):
 
 
 def _stft_config(args, rate):
-    return StftConfig(
-        sample_rate=rate,
-        window_len=getattr(args, "window_len", None),
-        hop=getattr(args, "hop", None),
-    ).resolved()
-
-
-# defaults of the options train, denoise and code share: the pursuit flags
-# take PursuitConfig's; channels and STFT geometry are resolved from the input
-_CODING_DEFAULTS = dict(
-    smax=PursuitConfig.s_max,
-    tau=PursuitConfig.tau,
-    epsilon=PursuitConfig.epsilon,
-    selection_rule=PursuitConfig.selection_rule,
-    channels=None,
-    window_len=None,
-    hop=None,
-)
+    return StftConfig(sample_rate=rate, window_len=args.window_len, hop=args.hop).resolved()
 
 
 def _pursuit_config(args):
@@ -111,12 +86,11 @@ def _pursuit_config(args):
         tau=args.tau,
         epsilon=args.epsilon,
         selection_rule=args.selection_rule,
-        phase_optimization=not getattr(args, "no_phase", False),
+        phase_optimization=not args.no_phase,
     )
 
 
 def cmd_train(args):
-    args = _merge(args, dict(_CODING_DEFAULTS, K=40, iters=50, seed=0))
     samples, rate = read_wav(args.input)
     chans = _parse_channels(args.channels, samples.shape[1])
     cfg = _stft_config(args, rate)
@@ -148,7 +122,6 @@ def _check_provenance(cfg, prov):
 
 
 def cmd_denoise(args):
-    args = _merge(args, dict(_CODING_DEFAULTS, mask=False, floor_quantile=0.1))
     D, prov = load_dictionary(args.dict)
     samples, rate = read_wav(args.input)
     chans = _parse_channels(args.channels, samples.shape[1])
@@ -169,14 +142,12 @@ def cmd_denoise(args):
     if args.reference:
         ref, _ = read_wav(args.reference)
         est, _ = read_wav(args.output)
-        n = min(ref.shape[0], est.shape[0])
-        report = evaluate(ref[:n, : est.shape[1]], est[:n])
-        _emit_report(report, args.report or args.output + ".report.json")
+        ref = ref[:, _parse_channels(args.channels, ref.shape[1])]
+        _report(est, ref, None, args.report or args.output + ".report.json")
     return 0
 
 
 def cmd_code(args):
-    args = _merge(args, _CODING_DEFAULTS)
     D, prov = load_dictionary(args.dict)
     if args.input.endswith(".npy"):
         frames = np.load(args.input)
@@ -207,14 +178,8 @@ def cmd_code(args):
 
 
 def cmd_synth(args):
-    args = _merge(
-        args,
-        dict(K=8, smax=2, seed=0, channels="2", bins=16, frames=200,
-             noise_sigma=0.0, sample_rate=16000),
-    )
-    channels = int(args.channels)
     spec = SyntheticSpec(
-        channels=channels,
+        channels=args.channels,
         bins=args.bins,
         frames=args.frames,
         num_atoms=args.K,
@@ -236,28 +201,22 @@ def cmd_synth(args):
     return 0
 
 
-def _emit_report(report, path):
-    data = report.as_dict()
-    data.pop("frame_residual_norms", None)
+def _report(est, ref, noise, path):
+    """Score ``est`` against ``ref`` (and ``noise``) over their common length,
+    print each figure and, when ``path`` is given, write them there as JSON."""
+    n = min(len(x) for x in (est, ref, noise) if x is not None)
+    data = evaluate(ref[:n], est[:n], None if noise is None else noise[:n]).as_dict()
     for key, val in data.items():
         print("%s=%s" % (key, val))
     if path:
-        from .wavio import _atomic_write
-
         _atomic_write(path, (json.dumps(data, indent=2) + "\n").encode())
 
 
 def cmd_eval(args):
     est, _ = read_wav(args.input)
     ref, _ = read_wav(args.reference)
-    n = min(est.shape[0], ref.shape[0])
-    noise = None
-    if args.noise:
-        nz, _ = read_wav(args.noise)
-        n = min(n, nz.shape[0])
-        noise = nz[:n]
-    report = evaluate(ref[:n], est[:n], noise)
-    _emit_report(report, args.output)
+    noise = read_wav(args.noise)[0] if args.noise else None
+    _report(est, ref, noise, args.output)
     return 0
 
 
@@ -270,83 +229,93 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def pursuit_flags(p):
-        p.add_argument("--smax", type=int, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--selection-rule", dest="selection_rule",
-                       choices=["derived", "literal"], default=None)
+        p.add_argument("--smax", type=int, default=PursuitConfig.s_max)
+        p.add_argument("--tau", type=float, default=PursuitConfig.tau)
+        p.add_argument("--epsilon", type=float, default=PursuitConfig.epsilon)
+        p.add_argument("--selection-rule", choices=["derived", "literal"],
+                       default=PursuitConfig.selection_rule)
         p.add_argument("--no-phase", action="store_true",
                        help="disable phase optimization (classic OMP/K-SVD)")
 
-    def stft_flags(p):
-        p.add_argument("--window-len", dest="window_len", type=int, default=None)
-        p.add_argument("--hop", type=int, default=None)
+    def input_flags(p):
+        p.add_argument("--channels", help="comma-separated input channels (default: all)")
+        p.add_argument("--window-len", type=int, help="default: 64 ms")
+        p.add_argument("--hop", type=int, help="default: window-len / 2")
 
     p = sub.add_parser("train", help="learn a noise dictionary from a WAV file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("-K", dest="K", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--channels", default=None)
+    p.add_argument("-K", type=int, default=40)
+    p.add_argument("--iters", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
     pursuit_flags(p)
-    stft_flags(p)
-    _add_common(p)
+    input_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("denoise", help="subtract the coded noise estimate from a mixture")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--dict", required=True)
-    p.add_argument("--channels", default=None)
-    p.add_argument("--mask", action="store_true", default=None)
-    p.add_argument("--floor-quantile", dest="floor_quantile", type=float, default=None)
-    p.add_argument("--emit-noise", dest="emit_noise", default=None)
-    p.add_argument("--reference", default=None)
-    p.add_argument("--report", default=None)
+    p.add_argument("--mask", action="store_true")
+    p.add_argument("--floor-quantile", type=float, default=0.1)
+    p.add_argument("--emit-noise")
+    p.add_argument("--reference")
+    p.add_argument("--report")
     pursuit_flags(p)
-    stft_flags(p)
-    _add_common(p)
+    input_flags(p)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("code", help="sparse-code frames and print per-frame records")
     p.add_argument("--input", required=True)
     p.add_argument("--dict", required=True)
-    p.add_argument("--output", default=None)
-    p.add_argument("--channels", default=None)
+    p.add_argument("--output")
     pursuit_flags(p)
-    stft_flags(p)
-    _add_common(p)
+    input_flags(p)
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("synth", help="generate synthetic ground-truth data")
-    p.add_argument("--output", default=None, help="rendered WAV path")
-    p.add_argument("--frames-out", dest="frames_out", default=None)
-    p.add_argument("--dict-out", dest="dict_out", default=None)
-    p.add_argument("-K", dest="K", type=int, default=None)
-    p.add_argument("--smax", type=int, default=None)
-    p.add_argument("--channels", default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    p.add_argument("--sample-rate", dest="sample_rate", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--output", help="rendered WAV path")
+    p.add_argument("--frames-out")
+    p.add_argument("--dict-out")
+    p.add_argument("-K", type=int, default=8)
+    p.add_argument("--smax", type=int, default=2)
+    p.add_argument("--channels", type=int, default=2, help="channel count")
+    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--frames", type=int, default=200)
+    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="energy-ratio SDR/SIR between two WAV files")
     p.add_argument("--input", required=True, help="estimate WAV")
     p.add_argument("--reference", required=True)
-    p.add_argument("--noise", default=None, help="noise reference WAV (enables SIR)")
-    p.add_argument("--output", default=None, help="JSON report path")
-    _add_common(p)
+    p.add_argument("--noise", help="noise reference WAV (enables SIR)")
+    p.add_argument("--output", help="JSON report path")
     p.set_defaults(func=cmd_eval)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value file of options; flags override it")
     return parser
 
 
-def main(argv=None):
+def parse_args(argv):
+    """Parse a command line.  The values in the chosen subcommand's
+    ``--config`` file become its defaults first, so explicit flags win."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    commands = parser._subparsers._group_actions[0].choices
+    if argv and argv[0] in commands:
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        if path:
+            _install_config(commands[argv[0]], path)
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
         print("error: %s: %s" % (getattr(err, "filename", "?"), err.strerror or err),

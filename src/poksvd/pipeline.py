@@ -43,14 +43,11 @@ class EvalReport:
     sdr_db: float
     sir_db: float | None = None
     frame_residual_norms: np.ndarray | None = None
-    support_recovery_rate: float | None = None
 
     def as_dict(self):
         out = {"sdr_db": self.sdr_db}
         if self.sir_db is not None:
             out["sir_db"] = self.sir_db
-        if self.support_recovery_rate is not None:
-            out["support_recovery_rate"] = self.support_recovery_rate
         if self.frame_residual_norms is not None:
             out["frame_residual_norms"] = [float(v) for v in self.frame_residual_norms]
         return out

@@ -18,7 +18,6 @@ class StftConfig:
     sample_rate: int = 16000
     window_len: int | None = None  # defaults to 64 ms at sample_rate
     hop: int | None = None  # defaults to window_len // 2
-    window: str = "hamming"
 
     def resolved(self):
         """Return a config with window_len/hop filled in from the defaults."""
@@ -30,16 +29,12 @@ class StftConfig:
             raise ValueError("window_len must be even, got %d" % wl)
         if not (0 < hop <= wl):
             raise ValueError("hop must satisfy 0 < hop <= window_len")
-        return StftConfig(self.sample_rate, wl, hop, self.window)
+        return StftConfig(self.sample_rate, wl, hop)
 
 
-def _window(kind, n):
-    if kind == "hamming":
-        # periodic form: clean overlap-add at 50% overlap
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    if kind in ("rect", "rectangular", "boxcar"):
-        return np.ones(n)
-    raise ValueError("unknown window kind: %r" % (kind,))
+def _window(n):
+    # periodic form: clean overlap-add at 50% overlap
+    return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 @dataclass
@@ -98,7 +93,7 @@ def stft(signal, cfg):
     wl, hop = cfg.window_len, cfg.hop
     if n < wl:
         raise ValueError("input too short: %d samples < window_len %d" % (n, wl))
-    w = _window(cfg.window, wl)
+    w = _window(wl)
     T = (n - wl) // hop + 1
     F = wl // 2 + 1
     starts = np.arange(T) * hop
@@ -119,7 +114,7 @@ def istft(spec):
     wl, hop = cfg.window_len, cfg.hop
     if F != wl // 2 + 1:
         raise ValueError("spectrogram bins inconsistent with window_len")
-    w = _window(cfg.window, wl)
+    w = _window(wl)
     n = (T - 1) * hop + wl
     out = np.zeros((n, M))
     wsum = np.zeros(n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import poksvd
-from poksvd.cli import main
+from poksvd.cli import build_parser, main, parse_args
 from poksvd.dictio import load_dictionary, save_dictionary
 from poksvd.pipeline import random_dictionary
 from poksvd.stft import StftConfig
@@ -64,6 +64,17 @@ class TestTrain:
         rc = main(train_args(noise_wav, tmp_path / "d.bin", ["--channels", "5"]))
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["train", "denoise", "code"])
+    def test_empty_channel_list_rejected(self, tmp_path, noise_wav, capsys, command):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d))
+        capsys.readouterr()
+        argv = train_args(noise_wav, tmp_path / "e.bin") if command == "train" else [
+            command, "--input", str(noise_wav), "--dict", str(d), "--output",
+            str(tmp_path / "out"), "--window-len", "32", "--hop", "16"]
+        assert main(argv + ["--channels", ","]) == 1
+        assert "no channels selected" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, tmp_path, noise_wav):
@@ -91,12 +102,113 @@ class TestConfigFile:
                    "--output", str(tmp_path / "d.bin"), "--config", str(cfgfile)])
         assert rc == 1
 
+    def test_key_of_another_subcommand_rejected(self, tmp_path, noise_wav, capsys):
+        d = tmp_path / "d.bin"
+        assert main(train_args(noise_wav, d)) == 0
+        for command, line in (("denoise", "K = 4"), ("code", "mask = true")):
+            cfgfile = tmp_path / (command + ".cfg")
+            cfgfile.write_text("smax = 1\n%s\n" % line)
+            out = tmp_path / (command + ".out")
+            capsys.readouterr()
+            rc = main([command, "--input", str(noise_wav), "--dict", str(d), "--output", str(out),
+                       "--window-len", "32", "--hop", "16", "--config", str(cfgfile)])
+            assert rc == 1
+            assert "%s:2" % cfgfile in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["smax = abc", "selection-rule = greedy", "no-phase = maybe"])
+    def test_bad_value_names_file_and_line(self, tmp_path, noise_wav, capsys, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("K = 4\n%s\n" % line)
+        rc = main(["train", "--input", str(noise_wav),
+                   "--output", str(tmp_path / "d.bin"), "--config", str(cfgfile)])
+        assert rc == 1
+        assert "%s:2" % cfgfile in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "denoise", "code", "synth", "eval"])
+    def test_missing_file_is_io_error(self, tmp_path, noise_wav, command):
+        argv = _required_flags(command, value=str(noise_wav))
+        assert main(argv + ["--config", str(tmp_path / "none.cfg")]) == 2
+
+    def test_no_phase_and_emit_noise_from_file(self, tmp_path, noise_wav):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d))
+        cfgfile = tmp_path / "denoise.cfg"
+        cfgfile.write_text("no_phase = true\nemit-noise = %s\n" % (tmp_path / "file_noise.wav"))
+        common = ["denoise", "--input", str(noise_wav), "--dict", str(d),
+                  "--window-len", "32", "--hop", "16", "--output"]
+        assert main(common + [str(tmp_path / "file.wav"), "--config", str(cfgfile)]) == 0
+        assert main(common + [str(tmp_path / "flag.wav"), "--no-phase",
+                              "--emit-noise", str(tmp_path / "flag_noise.wav")]) == 0
+        assert main(common + [str(tmp_path / "po.wav")]) == 0
+        for name in ("%s.wav", "%s_noise.wav"):
+            assert (tmp_path / (name % "file")).read_bytes() == (tmp_path / (name % "flag")).read_bytes()
+        assert (tmp_path / "file.wav").read_bytes() != (tmp_path / "po.wav").read_bytes()
+
     def test_malformed_line_rejected(self, tmp_path, noise_wav):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("just some words\n")
         rc = main(["train", "--input", str(noise_wav),
                    "--output", str(tmp_path / "d.bin"), "--config", str(cfgfile)])
         assert rc == 1
+
+
+def _options():
+    """(subcommand, argparse action) for every option a config file may set."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return [(name, a) for name, p in commands.items() for a in p._actions
+            if a.option_strings and a.dest not in ("help", "config")]
+
+
+def _sample(option, second=False):
+    """A value for ``option`` that differs from its default (and from the
+    first sample when ``second``)."""
+    if option.choices:
+        return option.choices[0 if second else -1]
+    return {int: ("7", "9"), float: ("0.25", "0.75")}.get(
+        option.type, ("a.wav", "b.wav"))[second]
+
+
+def _required_flags(command, skip=None, value="x.wav"):
+    """The subcommand and ``value`` for each of its required options other
+    than ``skip``."""
+    out = [command]
+    for name, a in _options():
+        if name == command and a.required and a.dest != skip:
+            out += [a.option_strings[-1], value]
+    return out
+
+
+class TestConfigFromParser:
+    @pytest.mark.parametrize("command, option", _options(),
+                             ids=["%s-%s" % (c, o.dest) for c, o in _options()])
+    def test_file_value_parses_like_the_flag(self, tmp_path, command, option):
+        base = _required_flags(command, skip=option.dest)
+        flag = option.option_strings[-1]
+        if option.nargs == 0:
+            text, other, by_flag = "true", "false", [flag]
+        else:
+            text, other = _sample(option), _sample(option, second=True)
+            by_flag = [flag, text]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("%s = %s\n" % (option.dest, text))
+        from_flag = dict(vars(parse_args(base + by_flag)), config=str(cfg))
+        from_file = vars(parse_args(base + ["--config", str(cfg)]))
+        assert from_file == from_flag
+        assert from_file[option.dest] != option.default
+        # a flag wins over the file, whichever spelling the key uses
+        cfg.write_text("%s = %s\n" % (flag.lstrip("-"), other))
+        assert vars(parse_args(base + ["--config", str(cfg)] + by_flag)) == from_flag
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("denoise", "--seed", "1"), ("code", "--seed", "1"), ("eval", "--seed", "1"),
+        ("synth", "--channels", "two"),
+    ])
+    def test_usage_error(self, command, flag, value):
+        # only train and synth draw random numbers; synth --channels is a count
+        with pytest.raises(SystemExit) as exc:
+            main(_required_flags(command) + [flag, value])
+        assert exc.value.code == 2
 
 
 class TestSynthAndCode:
@@ -180,6 +292,25 @@ class TestDenoiseAndEval:
             assert main(common + ["--output", str(outs[name])] + extra) == 0
         assert outs["file"].read_bytes() == outs["flag"].read_bytes()
         assert outs["file"].read_bytes() != outs["none"].read_bytes()
+
+    def test_reference_scores_the_coded_channels(self, tmp_path, noise_wav):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d, ["--channels", "1"]))
+        out = tmp_path / "clean.wav"
+        argv = ["denoise", "--input", str(noise_wav), "--output", str(out), "--dict", str(d),
+                "--channels", "1", "--window-len", "32", "--hop", "16"]
+        assert main(argv) == 0
+        clean, rate = read_wav(out)
+        # channel 1 of the reference is the output, channel 0 is not
+        ref = tmp_path / "ref.wav"
+        write_wav(ref, np.column_stack([read_wav(noise_wav)[0][: len(clean), 0], clean[:, 0]]), rate)
+        report = tmp_path / "report.json"
+        assert main(argv + ["--reference", str(ref), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["sdr_db"] == 100.0
+        # a reference without channel 1 is a validation error, not a traceback
+        mono = tmp_path / "mono.wav"
+        write_wav(mono, clean, rate)
+        assert main(argv + ["--reference", str(mono)]) == 1
 
     def test_provenance_mismatch_rejected(self, tmp_path, noise_wav):
         d = tmp_path / "d.bin"
