@@ -76,8 +76,20 @@ def _parse_channels(spec, available):
     return idx
 
 
-def _stft_config(args, rate):
-    return StftConfig(sample_rate=rate, window_len=args.window_len, hop=args.hop).resolved()
+def _analysis(args, D=None, prov=None):
+    """STFT of the ``--channels`` of ``args.input``.  Given a loaded
+    dictionary and its provenance, the input must match both."""
+    samples, rate = read_wav(args.input)
+    chans = _parse_channels(args.channels, samples.shape[1])
+    if D is not None and len(chans) != D.channels:
+        raise ValueError(
+            "channel-count mismatch: dictionary has %d, input provides %d"
+            % (D.channels, len(chans))
+        )
+    cfg = StftConfig(sample_rate=rate, window_len=args.window_len, hop=args.hop)
+    if prov is not None and cfg != prov:
+        raise ValueError("STFT provenance mismatch: dictionary has %s, input requires %s" % (prov, cfg))
+    return stft(samples[:, chans], cfg)
 
 
 def _pursuit_config(args):
@@ -91,11 +103,7 @@ def _pursuit_config(args):
 
 
 def cmd_train(args):
-    samples, rate = read_wav(args.input)
-    chans = _parse_channels(args.channels, samples.shape[1])
-    cfg = _stft_config(args, rate)
-    spec = stft(samples[:, chans], cfg)
-    frames = spec.frame_matrix()
+    spec = _analysis(args)
     lcfg = LearningConfig(
         num_atoms=args.K,
         pursuit=_pursuit_config(args),
@@ -107,35 +115,18 @@ def cmd_train(args):
         print("iteration=%d objective=%.12e atoms_replaced=%d" % (it, obj, replaced),
               file=sys.stderr)
 
-    model = po_ksvd(frames, spec.channels, lcfg, progress=progress)
-    save_dictionary(args.output, model.dictionary, cfg)
+    model = po_ksvd(spec.frame_matrix(), spec.channels, lcfg, progress=progress)
+    save_dictionary(args.output, model.dictionary, spec.config)
     return 0
-
-
-def _check_provenance(cfg, prov):
-    for name in ("sample_rate", "window_len", "hop"):
-        if getattr(cfg, name) != getattr(prov, name):
-            raise ValueError(
-                "STFT provenance mismatch: dictionary has %s=%s, input requires %s"
-                % (name, getattr(prov, name), getattr(cfg, name))
-            )
 
 
 def cmd_denoise(args):
     D, prov = load_dictionary(args.dict)
-    samples, rate = read_wav(args.input)
-    chans = _parse_channels(args.channels, samples.shape[1])
-    if len(chans) != D.channels:
-        raise ValueError(
-            "channel-count mismatch: dictionary has %d, input provides %d"
-            % (D.channels, len(chans))
-        )
-    cfg = _stft_config(args, rate)
-    _check_provenance(cfg, prov)
-    spec = stft(samples[:, chans], cfg)
+    spec = _analysis(args, D, prov)
     target, noise = denoise(
         spec, D, _pursuit_config(args), mask=args.mask, floor_quantile=args.floor_quantile
     )
+    rate = spec.config.sample_rate
     write_wav(args.output, istft(target), rate)
     if args.emit_noise:
         write_wav(args.emit_noise, istft(noise), rate)
@@ -150,17 +141,17 @@ def cmd_denoise(args):
 def cmd_code(args):
     D, prov = load_dictionary(args.dict)
     if args.input.endswith(".npy"):
+        flags = {"--channels": args.channels, "--window-len": args.window_len, "--hop": args.hop}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError("%s do not apply to a .npy frame file" % ", ".join(given))
         frames = np.load(args.input)
         if frames.ndim != 2 or frames.shape[0] != D.channels * D.bins:
             raise ValueError(
                 "frame file must be (M*F, T) with M*F = %d" % (D.channels * D.bins)
             )
     else:
-        samples, rate = read_wav(args.input)
-        chans = _parse_channels(args.channels, samples.shape[1])
-        cfg = _stft_config(args, rate)
-        _check_provenance(cfg, prov)
-        frames = stft(samples[:, chans], cfg).frame_matrix()
+        frames = _analysis(args, D, prov).frame_matrix()
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         for t, res in enumerate(po_omp_batch(frames, D, _pursuit_config(args))):
@@ -178,6 +169,8 @@ def cmd_code(args):
 
 
 def cmd_synth(args):
+    # render through the inverse transform at a window matching the bin count
+    cfg = StftConfig(sample_rate=args.sample_rate, window_len=2 * (args.bins - 1))
     spec = SyntheticSpec(
         channels=args.channels,
         bins=args.bins,
@@ -188,9 +181,6 @@ def cmd_synth(args):
         seed=args.seed,
     )
     Y, truth = generate_synthetic(spec)
-    # render through the inverse transform at a window matching the bin count
-    wl = 2 * (args.bins - 1)
-    cfg = StftConfig(sample_rate=args.sample_rate, window_len=wl, hop=wl // 2)
     Y.config = cfg
     if args.output:
         write_wav(args.output, istft(Y), args.sample_rate)

@@ -6,7 +6,10 @@ Layout (all little-endian):
     K atoms     column-major (atom-contiguous) complex values, each stored
                 as a float64 (re, im) pair
 
-The loader re-verifies the unit-norm invariant and rejects corrupt files.
+The loader rejects a corrupt file with DictionaryFileError: a bad magic
+tag or payload size, atoms that fail ``Dictionary.validate`` (unit norm to
+1e-8), or a header that no ``StftConfig`` accepts (odd window, hop outside
+(0, window_len]).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ class DictionaryFileError(ValueError):
 
 def save_dictionary(path, D, cfg):
     """Write a Dictionary plus its STFT provenance to ``path`` atomically."""
-    cfg = cfg.resolved()
     header = MAGIC + _HEADER.pack(
         D.channels, D.bins, D.num_atoms, cfg.sample_rate, cfg.window_len, cfg.hop
     )
@@ -55,10 +57,10 @@ def load_dictionary(path):
     atoms = np.frombuffer(
         blob, dtype="<c16", count=m * f * k, offset=len(MAGIC) + _HEADER.size
     ).reshape((m * f, k), order="F")
-    atoms = atoms.astype(np.complex128)
-    norms = np.linalg.norm(atoms, axis=0)
-    if not np.allclose(norms, 1.0, atol=1e-8):
-        raise DictionaryFileError("%s: atoms violate the unit-norm invariant" % path)
-    D = Dictionary(channels=m, bins=f, atoms=atoms)
-    cfg = StftConfig(sample_rate=rate, window_len=wl, hop=hop)
+    D = Dictionary(channels=m, bins=f, atoms=atoms.astype(np.complex128))
+    try:
+        D.validate(tol=1e-8)
+        cfg = StftConfig(sample_rate=rate, window_len=wl, hop=hop)
+    except ValueError as err:
+        raise DictionaryFileError("%s: %s" % (path, err)) from None
     return D, cfg

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PowerIterationError, dominant_singular_triple, unit_phase
-from .model import (
-    CodingBatch,
-    Dictionary,
-    atom_contribution,
-    normalize_atom,
-    normalize_atom_global,
-)
+from .model import CodingBatch, Dictionary, atom_contribution, normalize_atom
 from .pursuit import PursuitConfig, po_omp_batch
 
 log = logging.getLogger(__name__)
@@ -60,16 +54,9 @@ class TrainedModel:
     objective_trace: list[float]
 
 
-def _gauged(frame, channels, phase_optimization):
-    """A nonzero frame as a dictionary atom: per-bin gauge when phases are
-    optimized, one global rotation otherwise."""
-    if phase_optimization:
-        return normalize_atom(frame, channels)[0]
-    return normalize_atom_global(frame)[0]
-
-
 def init_dictionary(Y, channels, num_atoms, seed, phase_optimization=True):
-    """Seed the dictionary with K distinct nonzero frames of Y, normalized.
+    """Seed the dictionary with K distinct nonzero frames of Y, each in the
+    gauge of its mode (per bin when phases are optimized).
 
     Y is an (M*F, T) frame matrix.  Sampling is without replacement from
     the nonzero-norm frames via a seeded RNG, so identical inputs give
@@ -87,7 +74,7 @@ def init_dictionary(Y, channels, num_atoms, seed, phase_optimization=True):
     picks = rng.choice(candidates, size=num_atoms, replace=False)
     atoms = np.empty((Y.shape[0], num_atoms), dtype=np.complex128)
     for i, t in enumerate(picks):
-        atoms[:, i] = _gauged(Y[:, t], channels, phase_optimization)
+        atoms[:, i] = normalize_atom(Y[:, t], channels, phase_optimization)[0]
     bins = Y.shape[0] // channels
     return Dictionary(channels=channels, bins=bins, atoms=atoms)
 
@@ -129,12 +116,8 @@ def update_atom(E, phase_rows, cfg, channels):
         x_c = sigma * v.conj()  # column t of the rank-1 fit is u * x_c[t]
 
         # re-gauge the atom; rotations are absorbed into the phase rows
-        if phase_opt:
-            d, row_phases, _ = normalize_atom(u, channels)
-            phase_rows = phase_rows * row_phases.conj()[:, None]
-        else:
-            d, g_phase, _ = normalize_atom_global(u)
-            phase_rows = phase_rows * np.conj(g_phase)
+        d, rotations, _ = normalize_atom(u, channels, phase_opt)
+        phase_rows = phase_rows * rotations.conj()[:, None]
 
         # fold complex frame gains to nonnegative reals
         x = np.abs(x_c)
@@ -204,7 +187,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
             if frames.size == 0:
                 worst = int(np.argmax(np.linalg.norm(state.residual, axis=0)))
                 if np.linalg.norm(Y[:, worst]) > 0:
-                    D.atoms[:, k] = _gauged(Y[:, worst], channels, phase_opt)
+                    D.atoms[:, k] = normalize_atom(Y[:, worst], channels, phase_opt)[0]
                     replaced += 1
                 continue
             # E_k restricted = residual plus atom k's current contribution
@@ -251,7 +234,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
                 state.gains[:] = np.take_along_axis(state.gains, order.T, axis=1)
                 state.columns[:] = np.take_along_axis(state.columns, order[None], axis=1)
                 state.lengths[frames] -= 1
-                D.atoms[:, drop] = _gauged(Y[:, worst], channels, phase_opt)
+                D.atoms[:, drop] = normalize_atom(Y[:, worst], channels, phase_opt)[0]
                 frame_err = np.linalg.norm(state.residual, axis=0)
                 done.update((j, k))
                 replaced += 1

@@ -3,8 +3,11 @@ corrections and sparse activations, plus the phase-corrected synthesis.
 
 An atom of length M*F decomposes into F per-bin channel blocks d_f of
 length M.  The stored gauge makes every atom unit-norm with a real
-nonnegative first-channel entry in each bin; phases and activations absorb
-the rotations, leaving every reconstruction unchanged.
+nonnegative first-channel entry in each bin; the phase-blind baseline
+instead rotates the whole atom once, making its largest-magnitude entry
+real-positive.  Phases and activations absorb the rotations, leaving every
+reconstruction unchanged.  ``normalize_atom`` applies either gauge and
+``Dictionary.validate`` is the one unit-norm check.
 """
 
 from __future__ import annotations
@@ -176,17 +179,20 @@ def apply_phased_dictionary(D, phases, code):
     return reconstruct(D, batch)[:, 0]
 
 
-def normalize_atom(atom, channels):
+def normalize_atom(atom, channels, per_bin=True):
     """Normalize an atom to the storage gauge.
 
-    Returns (atom', row_phases, gain) with atom' unit-norm, every bin's
-    first-channel entry real >= 0, gain = ||atom||, and row_phases the
-    applied per-bin rotations: atom'_f = row_phases[f] * atom_f / gain.
-    Callers absorb conj(row_phases) into phase columns to keep products
-    unchanged.
+    Returns (atom', rotations, gain) with atom' unit-norm, gain = ||atom||,
+    and rotations the (F,) unit-modulus factors applied per bin:
+    atom'_f = rotations[f] * atom_f / gain.  Callers absorb
+    conj(rotations) into phase columns to keep products unchanged.
 
-    Bins whose first-channel entry is zero are rotated to make the
-    largest-magnitude channel real-positive; an all-zero bin gets rotation 1.
+    With ``per_bin`` every bin's first-channel entry is made real >= 0;
+    bins whose first-channel entry is zero are rotated to make their
+    largest-magnitude channel real-positive, and an all-zero bin gets
+    rotation 1.  Without it (the phase-blind gauge) one global rotation
+    makes the atom's largest-magnitude entry real-positive, and
+    rotations repeats it in every bin.
     """
     atom = np.asarray(atom, dtype=np.complex128)
     if atom.ndim != 1 or atom.size % channels != 0:
@@ -195,27 +201,15 @@ def normalize_atom(atom, channels):
     if gain == 0.0:
         raise ValueError("degenerate atom: zero norm")
     bins = atom.size // channels
-    blocks = (atom / gain).reshape(bins, channels)
+    unit = atom / gain
+    if not per_bin:
+        ref = unit[int(np.argmax(np.abs(unit)))]
+        rotation = np.abs(ref) / ref
+        return rotation * unit, np.full(bins, rotation), gain
+    blocks = unit.reshape(bins, channels)
     ref = blocks[:, 0]
     ref = np.where(ref == 0, blocks[np.arange(bins), np.argmax(np.abs(blocks), axis=1)], ref)
-    row_phases = np.ones(bins, dtype=np.complex128)
+    rotations = np.ones(bins, dtype=np.complex128)
     nz = ref != 0
-    row_phases[nz] = np.abs(ref[nz]) / ref[nz]
-    normalized = (row_phases[:, None] * blocks).ravel()
-    return normalized, row_phases, gain
-
-
-def normalize_atom_global(atom):
-    """Normalize with a single global rotation (phase-blind baseline gauge).
-
-    The largest-magnitude entry is made real-positive.  Returns
-    (atom', phase, gain) with atom' = phase * atom / gain.
-    """
-    atom = np.asarray(atom, dtype=np.complex128)
-    gain = float(np.linalg.norm(atom))
-    if gain == 0.0:
-        raise ValueError("degenerate atom: zero norm")
-    unit = atom / gain
-    ref = unit[int(np.argmax(np.abs(unit)))]
-    phase = np.abs(ref) / ref if ref != 0 else 1.0 + 0.0j
-    return phase * unit, complex(phase), gain
+    rotations[nz] = np.abs(ref[nz]) / ref[nz]
+    return (rotations[:, None] * blocks).ravel(), rotations, gain

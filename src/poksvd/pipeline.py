@@ -212,6 +212,8 @@ def evaluate(reference_target, estimate, noise_reference=None):
     sir = None
     if noise_reference is not None:
         n = _as_flat(noise_reference)
+        if n.shape != s_hat.shape:
+            raise ValueError("noise reference and estimate shapes differ")
         n_energy = float(np.vdot(n, n).real)
         if n_energy == 0:
             raise ValueError("degenerate reference: zero noise energy")

@@ -3,7 +3,8 @@
 Conventions: one-sided spectrum, periodic Hamming analysis window, no
 zero-padding (trailing partial windows are dropped), all scaling deferred
 to the synthesis normalization so that istft(stft(x)) reconstructs interior
-samples exactly.
+samples exactly.  A StftConfig is complete and valid once built, so the
+transforms use it as given; istft reads it from the spectrogram.
 """
 
 from __future__ import annotations
@@ -15,21 +16,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class StftConfig:
+    """Complete and checked when built: an unset window_len or hop takes
+    its default, and a window that is not positive and even or a hop
+    outside (0, window_len] raises ValueError."""
+
     sample_rate: int = 16000
     window_len: int | None = None  # defaults to 64 ms at sample_rate
     hop: int | None = None  # defaults to window_len // 2
 
-    def resolved(self):
-        """Return a config with window_len/hop filled in from the defaults."""
-        wl = self.window_len
-        if wl is None:
-            wl = int(round(0.064 * self.sample_rate))
-        hop = self.hop if self.hop is not None else wl // 2
-        if wl % 2 != 0:
-            raise ValueError("window_len must be even, got %d" % wl)
-        if not (0 < hop <= wl):
+    def __post_init__(self):
+        if self.window_len is None:
+            object.__setattr__(self, "window_len", int(round(0.064 * self.sample_rate)))
+        if self.hop is None:
+            object.__setattr__(self, "hop", self.window_len // 2)
+        if self.window_len <= 0 or self.window_len % 2 != 0:
+            raise ValueError("window_len must be positive and even, got %d" % self.window_len)
+        if not (0 < self.hop <= self.window_len):
             raise ValueError("hop must satisfy 0 < hop <= window_len")
-        return StftConfig(self.sample_rate, wl, hop)
 
 
 def _window(n):
@@ -81,7 +84,6 @@ def stft(signal, cfg):
     Frame t covers samples [t*hop, t*hop + window_len); trailing partial
     windows are dropped, so T = floor((len - window_len)/hop) + 1.
     """
-    cfg = cfg.resolved()
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim == 1:
         signal = signal[:, None]
@@ -109,7 +111,9 @@ def istft(spec):
 
     Perfect reconstruction on interior samples for unmodified spectrograms.
     """
-    cfg = spec.config.resolved()
+    cfg = spec.config
+    if cfg is None:
+        raise ValueError("istft needs the spectrogram's StftConfig, but its config is None")
     F, M, T = spec.values.shape
     wl, hop = cfg.window_len, cfg.hop
     if F != wl // 2 + 1:

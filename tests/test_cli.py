@@ -254,6 +254,27 @@ class TestSynthAndCode:
         rc = main(["code", "--input", str(bad), "--dict", str(dict_out)])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags", [["--channels", "7"], ["--window-len", "3"], ["--hop", "4"],
+                                       ["--channels", "0", "--window-len", "16"]])
+    def test_code_rejects_input_flags_on_a_frame_file(self, tmp_path, capsys, flags):
+        frames, dict_out = tmp_path / "frames.npy", tmp_path / "true.bin"
+        main(["synth", "--frames-out", str(frames), "--dict-out", str(dict_out),
+              "-K", "4", "--bins", "9", "--frames", "5"])
+        out = tmp_path / "codes.jsonl"
+        rc = main(["code", "--input", str(frames), "--dict", str(dict_out),
+                   "--output", str(out)] + flags)
+        assert rc == 1
+        assert "frame file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_with_one_bin_rejected_up_front(self, tmp_path, capsys):
+        # one bin means a zero-length window: nothing can be rendered or saved
+        frames = tmp_path / "frames.npy"
+        rc = main(["synth", "--bins", "1", "--frames-out", str(frames)])
+        assert rc == 1
+        assert "window_len" in capsys.readouterr().err
+        assert not frames.exists()
+
 
 class TestDenoiseAndEval:
     def test_denoise_round_trip(self, tmp_path, noise_wav):
@@ -345,6 +366,18 @@ class TestDenoiseAndEval:
         assert 15 < data["sdr_db"] < 25
         assert "sir_db" in data
 
+    def test_eval_noise_channel_mismatch_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        ref = rng.standard_normal((400, 2))
+        paths = {name: tmp_path / ("%s.wav" % name) for name in ("ref", "est", "noise")}
+        write_wav(paths["ref"], ref, 8000)
+        write_wav(paths["est"], ref + 0.1 * rng.standard_normal((400, 2)), 8000)
+        write_wav(paths["noise"], rng.standard_normal((400, 1)), 8000)
+        rc = main(["eval", "--input", str(paths["est"]), "--reference", str(paths["ref"]),
+                   "--noise", str(paths["noise"])])
+        assert rc == 1
+        assert "noise reference and estimate shapes differ" in capsys.readouterr().err
+
     def test_eval_missing_reference_is_io_error(self, tmp_path):
         est = tmp_path / "est.wav"
         write_wav(est, np.zeros(10), 8000)
@@ -379,6 +412,20 @@ class TestDenoiseAndEval:
         rc = main(["denoise", "--input", str(noise_wav),
                    "--output", str(tmp_path / "c.wav"), "--dict", str(bad)])
         assert rc == 2
+
+    def test_impossible_stft_header_is_io_error(self, tmp_path, noise_wav, capsys):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d))
+        blob = bytearray(d.read_bytes())
+        # the hop is the last of the six header words after the magic tag
+        blob[27:31] = bytes(4)
+        d.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["denoise", "--input", str(noise_wav), "--output", str(tmp_path / "c.wav"),
+                   "--dict", str(d), "--window-len", "32", "--hop", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(d) in err and "hop" in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,4 +78,14 @@ class TestLoadErrors:
         blob[start : start + 16 * 16] = bytes(16 * 16)
         path.write_bytes(bytes(blob))
         with pytest.raises(DictionaryFileError, match="unit-norm"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("wl, hop", [(1024, 0), (1024, 2048), (1023, 512), (0, 0)])
+    def test_impossible_stft_header(self, tmp_path, wl, hop):
+        path = self.good_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # window_len and hop are the last two of the six header words
+        blob[len(MAGIC) + 16 : len(MAGIC) + 24] = struct.pack("<2I", wl, hop)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DictionaryFileError, match=re.escape(str(path))):
             load_dictionary(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.learning import (
     LearningConfig,
@@ -253,6 +255,45 @@ class TestPoKsvd:
         po_ksvd(Y, 2, cfg, progress=lambda it, obj, rep: seen.append((it, obj, rep)))
         assert [s[0] for s in seen] == list(range(1, len(seen) + 1))
         assert all(obj >= 0 for _, obj, _ in seen)
+
+
+# Generated training problems: (M, F, K, T, s_max, phase_optimization,
+# dedupe_coherence, seed) with T from K to 3K + 5.
+learning_problems = st.integers(1, 4).flatmap(lambda K: st.tuples(
+    st.integers(1, 3), st.integers(1, 6), st.just(K), st.integers(K, 3 * K + 5),
+    st.integers(1, 2), st.booleans(), st.sampled_from([0.0, 0.3, 0.8]),
+    st.integers(0, 2**32 - 1),
+))
+
+
+class TestGeneratedTraining:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(learning_problems)
+    def test_learner_guarantees(self, problem):
+        M, F, K, T, s_max, po, dedupe, seed = problem
+        Y = random_complex(np.random.default_rng(seed), M * F, T)
+        cfg = LearningConfig(num_atoms=K, pursuit=PursuitConfig(s_max=s_max, phase_optimization=po),
+                             epsilon_outer=1e-12, max_outer_iters=4, seed=seed % 1000,
+                             dedupe_coherence=dedupe)
+        model = po_ksvd(Y, M, cfg)
+        atoms = model.dictionary.atoms
+        assert np.all(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) <= 1e-12)
+        if po:
+            # each bin's first channel is real and nonnegative
+            first = model.dictionary.blocks()[:, 0, :]
+            assert np.all(np.abs(first.imag) <= 1e-12) and np.all(first.real >= 0)
+        else:
+            # some entry of largest magnitude is real-positive (robust to near-ties)
+            assert np.all(atoms.real.max(axis=0) >= np.abs(atoms).max(axis=0) - 1e-12)
+        # the objective is rounding noise on exact fits, so the slack scales with ||Y||^2
+        slack = 1e-12 * float(np.sum(np.abs(Y) ** 2))
+        trace = model.objective_trace
+        assert all(b <= a + slack for a, b in zip(trace, trace[1:]))
+        again = po_ksvd(Y, M, cfg)
+        assert again.dictionary.atoms.tobytes() == atoms.tobytes()
+        assert again.objective_trace == trace
+        for name in ("support", "lengths", "gains", "columns", "residual"):
+            assert getattr(again.coding, name).tobytes() == getattr(model.coding, name).tobytes()
 
 
 class TestLearningConfigValidation:

@@ -7,7 +7,6 @@ from poksvd.model import (
     SparseCode,
     apply_phased_dictionary,
     normalize_atom,
-    normalize_atom_global,
 )
 
 
@@ -56,10 +55,12 @@ class TestNormalizeAtomGlobal:
     def test_single_rotation(self):
         rng = np.random.default_rng(2)
         atom = random_complex(rng, 6)
-        out, phase, gain = normalize_atom_global(atom)
+        out, rotations, gain = normalize_atom(atom, channels=2, per_bin=False)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-        assert abs(phase) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(out, phase * atom / gain, atol=1e-12)
+        # one rotation, repeated for each of the 3 bins
+        assert rotations.shape == (3,) and np.all(rotations == rotations[0])
+        assert abs(rotations[0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out, rotations[0] * atom / gain, atol=1e-12)
         ref = out[int(np.argmax(np.abs(out)))]
         assert ref.real > 0 and ref.imag == pytest.approx(0.0, abs=1e-12)
 

@@ -6,23 +6,30 @@ from poksvd.stft import Spectrogram, StftConfig, istft, stft
 
 class TestConfig:
     def test_defaults_are_64ms_half_overlap(self):
-        cfg = StftConfig(sample_rate=16000).resolved()
+        cfg = StftConfig(sample_rate=16000)
         assert cfg.window_len == 1024
         assert cfg.hop == 512
 
     def test_explicit_values_kept(self):
-        cfg = StftConfig(sample_rate=8000, window_len=256, hop=64).resolved()
+        cfg = StftConfig(sample_rate=8000, window_len=256, hop=64)
         assert (cfg.window_len, cfg.hop) == (256, 64)
 
     def test_odd_window_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            StftConfig(sample_rate=16000, window_len=255).resolved()
+            StftConfig(sample_rate=16000, window_len=255)
 
     def test_bad_hop_rejected(self):
         with pytest.raises(ValueError, match="hop"):
-            StftConfig(sample_rate=16000, window_len=256, hop=0).resolved()
+            StftConfig(sample_rate=16000, window_len=256, hop=0)
         with pytest.raises(ValueError, match="hop"):
-            StftConfig(sample_rate=16000, window_len=256, hop=512).resolved()
+            StftConfig(sample_rate=16000, window_len=256, hop=512)
+
+
+class TestIstft:
+    def test_missing_config_rejected(self):
+        spec = Spectrogram(values=np.zeros((5, 1, 3), dtype=complex))
+        with pytest.raises(ValueError, match="StftConfig"):
+            istft(spec)
 
 
 class TestStft:
