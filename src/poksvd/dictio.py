@@ -8,8 +8,8 @@ Layout (all little-endian):
 
 The loader rejects a corrupt file with DictionaryFileError: a bad magic
 tag or payload size, atoms that fail ``Dictionary.validate`` (unit norm to
-1e-8), or a header that no ``StftConfig`` accepts (odd window, hop outside
-(0, window_len]).
+1e-8), or a header that no ``StftConfig`` accepts (a sample rate of 0, an odd
+window, a hop outside (0, window_len]).
 """
 
 from __future__ import annotations

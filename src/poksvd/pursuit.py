@@ -1,4 +1,5 @@
-"""Greedy phase-optimized sparse coding (PO-OMP), frames coded in lockstep.
+"""Greedy phase-optimized sparse coding (PO-OMP), frames coded in lockstep
+in fixed-width column blocks.
 
 Each outer step selects the atom whose per-bin phase-rotated copy best
 matches the residual, then alternately refines all gains (least squares on
@@ -18,6 +19,10 @@ import numpy as np
 
 from .linalg import diagnostics, least_squares_solve, unit_phase
 from .model import CodingBatch
+
+# Bytes allowed for one column block's complex (F, K, width) score tensor;
+# sets the block width of po_omp_batch, so its memory does not grow with T.
+SCORE_BUDGET_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -165,12 +170,35 @@ def _selected_columns(B, k_sel, bins, cfg):
     return np.broadcast_to(phi[None, :], (bins, k_sel.size)).copy()
 
 
+def _block_width(bins, num_atoms):
+    """Frames per column block: as many as keep one block's complex (F, K, W)
+    score tensor within SCORE_BUDGET_BYTES, in multiples of 4 and at least 16.
+
+    Classic-mode scores are a BLAS matrix product whose last bits depend on a
+    column's place in its group of 4 and on the width of the tail; blocks that
+    start at multiples of 4, are never narrower than 16 and fold the remainder
+    into the last block keep every bit of the one-batch result (with one
+    BLAS thread; see README, "Batched pursuit").
+    """
+    return max(16, SCORE_BUDGET_BYTES // (16 * bins * num_atoms) // 4 * 4)
+
+
+def _column_blocks(T, width):
+    """[a, b) bounds of the column blocks: starts at the multiples of
+    ``width``; the last block absorbs the remainder, so it is width to
+    2 * width - 1 wide (or all T columns when T < 2 * width)."""
+    edges = [a * width for a in range(max(T // width, 1))] + [T]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def po_omp_batch(Y, D, cfg=None):
-    """PO-OMP over the columns of Y in lockstep.
+    """PO-OMP over the columns of Y, in column blocks coded in lockstep.
 
     Returns a CodingBatch with s = ``cfg.s_max`` slots; ``len()`` is the
     frame count and item t is frame t's CodingResult.  Each frame's code
-    does not depend on the other frames of the batch.
+    does not depend on the other frames of the batch, so coding in blocks
+    of ``_block_width`` frames gives the one-batch result bit for bit while
+    the score tensor stays within SCORE_BUDGET_BYTES.
     """
     cfg = cfg or PursuitConfig()
     Y = np.asarray(Y, dtype=np.complex128)
@@ -179,12 +207,21 @@ def po_omp_batch(Y, D, cfg=None):
         raise ValueError("frame matrix must be (M*F, T) with M*F = %d" % mf)
     if not np.isfinite(Y).all():
         raise ValueError("frame matrix has non-finite entries")
-    F, M = D.bins, D.channels
-    T = Y.shape[1]
+    batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
     blocks = D.blocks()
+    for a, b in _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms)):
+        _code_block(
+            Y[:, a:b], blocks, D.atoms, cfg, batch.support[:, a:b], batch.lengths[a:b],
+            batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
+        )
+    return batch
 
-    batch = CodingBatch.empty(D.num_atoms, cfg.s_max, F, Y.copy())
-    supp, supp_len, gains, cols, R = batch.support, batch.lengths, batch.gains, batch.columns, batch.residual
+
+def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
+    """Greedy PO-OMP on the frames Y (MF, T), writing into views of one
+    CodingBatch's arrays; R holds Y on entry."""
+    F, M, _ = blocks.shape
+    T = Y.shape[1]
     norms = np.linalg.norm(R, axis=0)
     greedy = np.ones(T, dtype=bool)
     frames = np.arange(T)
@@ -193,7 +230,7 @@ def po_omp_batch(Y, D, cfg=None):
         active = greedy & (norms > cfg.tau)
         if not active.any():
             break
-        scores, B = _batch_scores(R.reshape(F, M, T), blocks, D.atoms, cfg)
+        scores, B = _batch_scores(R.reshape(F, M, T), blocks, atoms, cfg)
         scores[supp[:i], frames] = -1.0
         k_sel = np.argmax(scores, axis=0)
         g_sel = scores[k_sel, frames]
@@ -210,8 +247,6 @@ def po_omp_batch(Y, D, cfg=None):
             Y[:, grow], blocks, supp[: i + 1, grow], cols[:, : i + 1, grow], cfg
         )
         norms = np.linalg.norm(R, axis=0)
-
-    return batch
 
 
 def po_omp(y, D, cfg=None):

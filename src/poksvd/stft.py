@@ -17,14 +17,17 @@ import numpy as np
 @dataclass(frozen=True)
 class StftConfig:
     """Complete and checked when built: an unset window_len or hop takes
-    its default, and a window that is not positive and even or a hop
-    outside (0, window_len] raises ValueError."""
+    its default, and a sample_rate that is not positive, a window that is
+    not positive and even or a hop outside (0, window_len] raises
+    ValueError."""
 
     sample_rate: int = 16000
     window_len: int | None = None  # defaults to 64 ms at sample_rate
     hop: int | None = None  # defaults to window_len // 2
 
     def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive, got %d" % self.sample_rate)
         if self.window_len is None:
             object.__setattr__(self, "window_len", int(round(0.064 * self.sample_rate)))
         if self.hop is None:

@@ -23,6 +23,7 @@ def read_wav(path):
     """Read a WAV file, returning (samples (N, channels) float64, rate)."""
     with open(path, "rb") as fh:
         data = fh.read()
+    view = memoryview(data)  # chunk bodies are slices of the file, not copies
     if len(data) < 12:
         raise WavError("%s: missing RIFF header (file is %d bytes)" % (path, len(data)))
     if data[0:4] != b"RIFF":
@@ -42,7 +43,7 @@ def read_wav(path):
                 "%s: truncated '%s' chunk at byte %d (need %d bytes)"
                 % (path, cid.decode("ascii", "replace"), pos, size)
             )
-        body = data[body_start : body_start + size]
+        body = view[body_start : body_start + size]
         if cid == b"fmt ":
             if size < 16:
                 raise WavError("%s: fmt chunk too small at byte %d" % (path, pos))

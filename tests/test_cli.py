@@ -275,6 +275,14 @@ class TestSynthAndCode:
         assert "window_len" in capsys.readouterr().err
         assert not frames.exists()
 
+    def test_synth_with_zero_sample_rate_rejected_up_front(self, tmp_path, capsys):
+        paths = [tmp_path / name for name in ("s.wav", "frames.npy", "true.bin")]
+        rc = main(["synth", "--sample-rate", "0", "--output", str(paths[0]),
+                   "--frames-out", str(paths[1]), "--dict-out", str(paths[2])])
+        assert rc == 1
+        assert "sample_rate" in capsys.readouterr().err
+        assert not any(p.exists() for p in paths)
+
 
 class TestDenoiseAndEval:
     def test_denoise_round_trip(self, tmp_path, noise_wav):
@@ -426,6 +434,21 @@ class TestDenoiseAndEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(d) in err and "hop" in err
+
+    def test_zero_sample_rate_header_is_io_error(self, tmp_path, noise_wav, capsys):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d))
+        blob = bytearray(d.read_bytes())
+        # the sample rate is the fourth of the six header words after the magic tag
+        blob[19:23] = bytes(4)
+        d.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["denoise", "--input", str(noise_wav), "--output", str(tmp_path / "c.wav"),
+                   "--dict", str(d), "--window-len", "32", "--hop", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(d) in err and "sample_rate" in err
+        assert not (tmp_path / "c.wav").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.dictio import MAGIC, DictionaryFileError, load_dictionary, save_dictionary
 from poksvd.pipeline import random_dictionary
@@ -37,6 +39,26 @@ class TestRoundTrip:
         path = tmp_path / "d.bin"
         save_dictionary(path, make_dictionary(), StftConfig(16000, 1024, 512))
         assert path.read_bytes().startswith(MAGIC)
+
+
+class TestGeneratedRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 3), st.integers(1, 9), st.integers(1, 6), st.integers(0, 2**32 - 1),
+        st.integers(1, 192000), st.integers(1, 2048), st.data(),
+    )
+    def test_atoms_and_config_bit_exact(self, tmp_path_factory, M, F, K, seed, rate, half_window, data):
+        D = random_dictionary(np.random.default_rng(seed), M, F, K)
+        window_len = 2 * half_window
+        cfg = StftConfig(sample_rate=rate, window_len=window_len,
+                         hop=data.draw(st.integers(1, window_len)))
+        path = tmp_path_factory.mktemp("dictio") / "d.bin"
+        save_dictionary(path, D, cfg)
+        D2, cfg2 = load_dictionary(path)
+        assert (D2.channels, D2.bins, D2.num_atoms) == (M, F, K)
+        assert D2.atoms.dtype == D.atoms.dtype
+        assert D2.atoms.tobytes() == D.atoms.tobytes()
+        assert cfg2 == cfg
 
 
 class TestLoadErrors:
@@ -88,4 +110,13 @@ class TestLoadErrors:
         blob[len(MAGIC) + 16 : len(MAGIC) + 24] = struct.pack("<2I", wl, hop)
         path.write_bytes(bytes(blob))
         with pytest.raises(DictionaryFileError, match=re.escape(str(path))):
+            load_dictionary(path)
+
+    def test_zero_sample_rate_header(self, tmp_path):
+        path = self.good_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # the sample rate is the fourth of the six header words
+        blob[len(MAGIC) + 12 : len(MAGIC) + 16] = struct.pack("<I", 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DictionaryFileError, match=re.escape(str(path)) + ".*sample_rate"):
             load_dictionary(path)

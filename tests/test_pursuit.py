@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from poksvd import pursuit
 from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
 from poksvd.pipeline import random_dictionary
 from poksvd.pursuit import (
@@ -331,6 +334,62 @@ class TestGeneratedBatches:
             norms = np.linalg.norm(R, axis=0)
             assert np.all(norms <= prev + slack)
             prev = norms
+
+
+def coded_in_blocks(Y, D, cfg, width):
+    """po_omp_batch with the score budget set to give ``width``-frame blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pursuit, "SCORE_BUDGET_BYTES", width * 16 * D.bins * D.num_atoms)
+        assert pursuit._block_width(D.bins, D.num_atoms) == width
+        return po_omp_batch(Y, D, cfg)
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("T, width, bounds", [
+        (1, 16, [(0, 1)]),
+        (31, 16, [(0, 31)]),
+        (32, 16, [(0, 16), (16, 32)]),
+        (49, 16, [(0, 16), (16, 32), (32, 49)]),
+        (311, 48, [(0, 48), (48, 96), (96, 144), (144, 192), (192, 240), (240, 311)]),
+    ])
+    def test_starts_at_multiples_and_folds_the_tail(self, T, width, bounds):
+        assert pursuit._column_blocks(T, width) == bounds
+
+    def test_width_bounds_the_score_tensor(self):
+        assert pursuit._block_width(513, 40) == 48
+        assert pursuit._block_width(16, 5) > 1000  # the criterion shapes code in one block
+        assert pursuit._block_width(4097, 400) == 16  # never narrower than 16
+
+    # Draws T = blocks * width + tail, so a one-frame tail (T mod W = 1) is
+    # drawn as often as any other; shapes stay small enough that OpenBLAS
+    # runs every product single-threaded (see README, "Batched pursuit").
+    @settings(GENERATED, max_examples=300)
+    @given(any_problems, st.integers(4, 12), st.integers(0, 3), st.integers(0, 47), st.booleans())
+    def test_blocks_are_bitwise_one_batch(self, problem, quarter, blocks, tail, phase_optimization):
+        width = 4 * quarter
+        T = blocks * width + tail % width
+        assume(T >= 1)
+        D, _, rng = generated(problem)
+        Y = random_complex(rng, D.channels * D.bins, T)
+        cfg = PursuitConfig(s_max=problem[4], phase_optimization=phase_optimization)
+        one = coded_in_blocks(Y, D, cfg, 4 * (T // 4 + 4))  # wider than T: one block
+        coded = coded_in_blocks(Y, D, cfg, width)
+        for name in ("support", "lengths", "gains", "columns", "residual"):
+            assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
+
+    def test_peak_memory_does_not_grow_with_frame_count(self):
+        rng = np.random.default_rng(0)
+        D = random_dictionary(rng, 2, 257, 200)
+        peaks = []
+        for T in (80, 400):
+            Y = random_complex(rng, D.channels * D.bins, T)
+            tracemalloc.start()
+            try:
+                po_omp_batch(Y, D, PursuitConfig(s_max=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestConfigValidation:

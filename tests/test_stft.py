@@ -24,6 +24,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="hop"):
             StftConfig(sample_rate=16000, window_len=256, hop=512)
 
+    @pytest.mark.parametrize("rate", [0, -8000])
+    def test_non_positive_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            StftConfig(sample_rate=rate, window_len=256, hop=128)
+
 
 class TestIstft:
     def test_missing_config_rejected(self):

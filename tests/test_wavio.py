@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.wavio import WavError, read_wav, write_wav
 
@@ -103,3 +105,75 @@ class TestReadErrors:
         p.write_bytes(bytes(blob))
         y, _ = read_wav(p)
         assert y.shape == (20, 1)
+
+
+# Generated chunk layouts: extra chunks of any size (an odd size carries a
+# pad byte) before 'fmt ', between 'fmt ' and 'data', or after 'data'; a
+# plain or WAVE_FORMAT_EXTENSIBLE fmt chunk; PCM16 or float32 samples.
+GENERATED = settings(max_examples=80, deadline=None, derandomize=True)
+extra_chunks = st.lists(
+    st.tuples(st.sampled_from([b"LIST", b"JUNK", b"fact"]), st.integers(0, 9), st.integers(0, 2)),
+    max_size=4,
+)
+
+
+def chunk(cid, body):
+    return cid + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def wav_layout(fmt_name, extensible, frames, channels, extras, seed):
+    """A WAV file's bytes, its samples as read_wav must return them, and the
+    (offset, id, body size) of each chunk in file order."""
+    rng = np.random.default_rng(seed)
+    if fmt_name == "pcm16":
+        ints = rng.integers(-32768, 32768, size=(frames, channels)).astype("<i2")
+        payload, expected, code, bits = ints.tobytes(), ints / 32768.0, 1, 16
+    else:
+        floats = rng.uniform(-1, 1, size=(frames, channels)).astype("<f4")
+        payload, expected, code, bits = floats.tobytes(), floats.astype(np.float64), 3, 32
+    align, rate = channels * bits // 8, 8000
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else code, channels, rate, rate * align, align, bits)
+    if extensible:
+        # cbSize, valid bits, channel mask, then the sub-format GUID
+        fmt += struct.pack("<HHI", 22, bits, 0) + struct.pack("<H", code) + bytes(14)
+    slots = [[], [], []]
+    for cid, size, slot in extras:
+        slots[slot].append((cid, bytes(rng.integers(0, 256, size=size, dtype=np.uint8))))
+    parts = slots[0] + [(b"fmt ", fmt)] + slots[1] + [(b"data", payload)] + slots[2]
+    body, layout = b"WAVE", []
+    for cid, part in parts:
+        layout.append((8 + len(body), cid, len(part)))  # body starts at byte 8
+        body += chunk(cid, part)
+    return b"RIFF" + struct.pack("<I", len(body)) + body, expected, layout
+
+
+layouts = st.tuples(
+    st.sampled_from(["pcm16", "float32"]), st.booleans(), st.integers(0, 40), st.integers(1, 3),
+    extra_chunks, st.integers(0, 2**32 - 1),
+)
+
+
+class TestGeneratedLayouts:
+    @GENERATED
+    @given(layouts)
+    def test_samples_read_back_exactly(self, tmp_path_factory, layout):
+        blob, expected, _ = wav_layout(*layout)
+        path = tmp_path_factory.mktemp("wav") / "x.wav"
+        path.write_bytes(blob)
+        samples, rate = read_wav(path)
+        assert rate == 8000
+        assert samples.dtype == np.float64 and samples.shape == expected.shape
+        assert samples.tobytes() == expected.tobytes()
+
+    @GENERATED
+    @given(layouts, st.data())
+    def test_truncated_chunk_names_its_offset(self, tmp_path_factory, layout, data):
+        blob, _, chunks = wav_layout(*layout)
+        offset, cid, size = data.draw(st.sampled_from([c for c in chunks if c[2] > 0]))
+        # cut the file inside that chunk's body
+        cut = data.draw(st.integers(offset + 8, offset + 8 + size - 1))
+        path = tmp_path_factory.mktemp("wav") / "x.wav"
+        path.write_bytes(blob[:cut])
+        message = "truncated '%s' chunk at byte %d" % (cid.decode(), offset)
+        with pytest.raises(WavError, match=message):
+            read_wav(path)
