@@ -152,19 +152,15 @@ def cmd_code(args):
             )
     else:
         frames = _analysis(args, D, prov).frame_matrix()
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for t, res in enumerate(po_omp_batch(frames, D, _pursuit_config(args))):
-            rec = {
-                "frame": t,
-                "support": list(res.code.support),
-                "gains": [float(res.code.gains[k]) for k in res.code.support],
-                "residual_norm": res.residual_norm,
-            }
-            print(json.dumps(rec), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    records = "".join(
+        json.dumps({"frame": t, "support": list(res.code.support),
+                    "gains": [float(res.code.gains[k]) for k in res.code.support],
+                    "residual_norm": res.residual_norm}) + "\n"
+        for t, res in enumerate(po_omp_batch(frames, D, _pursuit_config(args))))
+    if args.output:  # written only once every frame is coded
+        _atomic_write(args.output, records.encode())
+    else:
+        sys.stdout.write(records)
     return 0
 
 

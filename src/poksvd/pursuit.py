@@ -57,7 +57,7 @@ def select_best_atom(residual, D, excluded=frozenset(), cfg=None):
     """
     cfg = cfg or PursuitConfig()
     R3 = np.asarray(residual, dtype=np.complex128).reshape(D.bins, D.channels, 1)
-    scores, B = _batch_scores(R3, D.blocks(), D.atoms, cfg)
+    scores, B = _batch_scores(R3, D.blocks(), cfg)
     mask = np.isin(np.arange(D.num_atoms), list(excluded))
     if mask.all():
         raise ValueError("no candidate atoms left")
@@ -84,12 +84,16 @@ def refine_support(y, D, support, columns, cfg):
     return gains[0], list(cols[:, :, 0].T), r[:, 0]
 
 
-def _batch_scores(R3, blocks, atoms, cfg):
-    """Selection scores for a batch of residuals; R3 is (F, M, T)."""
+def _batch_scores(R3, blocks, cfg):
+    """Selection scores (K, T) for a batch of residuals R3 (F, M, T), and the
+    correlations they come from: per bin (F, K, T), or summed over the bins
+    (K, T) in classic mode."""
+    B = np.einsum("fmk,fmt->fkt", blocks.conj(), R3)
     if not cfg.phase_optimization:
-        b_full = atoms.conj().T @ R3.reshape(-1, R3.shape[2])  # (K, T)
-        return np.abs(b_full), b_full
-    B = np.einsum("fmk,fmt->fkt", blocks.conj(), R3)  # (F, K, T)
+        # bins added in order whatever the shape: B.sum(axis=0) turns
+        # pairwise when K * T = 1, which would give a lone frame other bits
+        b = sum(B[1:], B[0])
+        return np.abs(b), b
     if cfg.selection_rule == "literal":
         return np.abs(unit_phase(B, 0.0).sum(axis=0)), B
     return np.abs(B).sum(axis=0), B
@@ -172,23 +176,14 @@ def _selected_columns(B, k_sel, bins, cfg):
 
 def _block_width(bins, num_atoms):
     """Frames per column block: as many as keep one block's complex (F, K, W)
-    score tensor within SCORE_BUDGET_BYTES, in multiples of 4 and at least 16.
-
-    Classic-mode scores are a BLAS matrix product whose last bits depend on a
-    column's place in its group of 4 and on the width of the tail; blocks that
-    start at multiples of 4, are never narrower than 16 and fold the remainder
-    into the last block keep every bit of the one-batch result (with one
-    BLAS thread; see README, "Batched pursuit").
-    """
-    return max(16, SCORE_BUDGET_BYTES // (16 * bins * num_atoms) // 4 * 4)
+    score tensor within SCORE_BUDGET_BYTES, and at least one."""
+    return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms))
 
 
 def _column_blocks(T, width):
-    """[a, b) bounds of the column blocks: starts at the multiples of
-    ``width``; the last block absorbs the remainder, so it is width to
-    2 * width - 1 wide (or all T columns when T < 2 * width)."""
-    edges = [a * width for a in range(max(T // width, 1))] + [T]
-    return list(zip(edges[:-1], edges[1:]))
+    """[a, b) bounds of consecutive ``width``-frame column blocks; the last
+    one takes the remaining T mod width frames when that is not 0."""
+    return [(a, min(a + width, T)) for a in range(0, T, width)]
 
 
 def po_omp_batch(Y, D, cfg=None):
@@ -211,13 +206,13 @@ def po_omp_batch(Y, D, cfg=None):
     blocks = D.blocks()
     for a, b in _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms)):
         _code_block(
-            Y[:, a:b], blocks, D.atoms, cfg, batch.support[:, a:b], batch.lengths[a:b],
+            Y[:, a:b], blocks, cfg, batch.support[:, a:b], batch.lengths[a:b],
             batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
         )
     return batch
 
 
-def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
+def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):
     """Greedy PO-OMP on the frames Y (MF, T), writing into views of one
     CodingBatch's arrays; R holds Y on entry."""
     F, M, _ = blocks.shape
@@ -230,7 +225,7 @@ def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
         active = greedy & (norms > cfg.tau)
         if not active.any():
             break
-        scores, B = _batch_scores(R.reshape(F, M, T), blocks, atoms, cfg)
+        scores, B = _batch_scores(R.reshape(F, M, T), blocks, cfg)
         scores[supp[:i], frames] = -1.0
         k_sel = np.argmax(scores, axis=0)
         g_sel = scores[k_sel, frames]

@@ -48,6 +48,10 @@ def read_wav(path):
             if size < 16:
                 raise WavError("%s: fmt chunk too small at byte %d" % (path, pos))
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            for what, value in (("channel count", fmt[1]), ("sample rate", fmt[2])):
+                if value < 1:
+                    raise WavError("%s: invalid %s %d in 'fmt ' chunk at byte %d"
+                                   % (path, what, value, pos))
         elif cid == b"data":
             payload = body
         pos = body_start + size + (size & 1)
@@ -70,8 +74,6 @@ def read_wav(path):
             "%s: unsupported format (code %d, %d bits); only PCM16 and float32"
             % (path, audio_format, bits)
         )
-    if channels < 1:
-        raise WavError("%s: invalid channel count %d" % (path, channels))
     n = samples.size // channels
     return samples[: n * channels].reshape(n, channels), rate
 
@@ -103,11 +105,15 @@ def write_wav(path, samples, rate, fmt="float32"):
 
 
 def _atomic_write(path, blob):
+    """Write ``blob`` whole, with the mode ``open()`` gives under the umask."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -267,6 +267,37 @@ class TestSynthAndCode:
         assert "frame file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [None, b"earlier records\n"])
+    def test_code_rejecting_its_input_leaves_the_output_alone(self, tmp_path, capsys, existing):
+        frames, dict_out = tmp_path / "frames.npy", tmp_path / "true.bin"
+        main(["synth", "--frames-out", str(frames), "--dict-out", str(dict_out),
+              "-K", "4", "--bins", "9", "--frames", "5"])
+        Y = np.load(frames)
+        Y[3, 2] = np.nan
+        np.save(frames, Y)
+        out = tmp_path / "codes.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["code", "--input", str(frames), "--dict", str(dict_out), "--output", str(out)])
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == existing
+        # nor a temporary file
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["frames.npy", "true.bin"] + ([] if existing is None else ["codes.jsonl"]))
+
+    def test_code_stdout_and_output_file_agree(self, tmp_path, capsys):
+        frames, dict_out = tmp_path / "frames.npy", tmp_path / "true.bin"
+        main(["synth", "--frames-out", str(frames), "--dict-out", str(dict_out),
+              "-K", "4", "--bins", "9", "--frames", "6"])
+        out = tmp_path / "codes.jsonl"
+        argv = ["code", "--input", str(frames), "--dict", str(dict_out)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_text() == printed and len(printed.splitlines()) == 6
+
     def test_synth_with_one_bin_rejected_up_front(self, tmp_path, capsys):
         # one bin means a zero-length window: nothing can be rendered or saved
         frames = tmp_path / "frames.npy"
@@ -449,6 +480,38 @@ class TestDenoiseAndEval:
         err = capsys.readouterr().err
         assert str(d) in err and "sample_rate" in err
         assert not (tmp_path / "c.wav").exists()
+
+    @pytest.mark.parametrize("command", ["train", "denoise", "code", "eval"])
+    def test_zero_sample_rate_wav_is_io_error(self, tmp_path, noise_wav, capsys, command):
+        d = tmp_path / "d.bin"
+        main(train_args(noise_wav, d))
+        blob = bytearray(noise_wav.read_bytes())
+        blob[24:28] = bytes(4)  # the sample rate word of the 'fmt ' chunk at byte 12
+        bad = tmp_path / "rate0.wav"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        argv = {
+            "train": train_args(bad, out),
+            "denoise": ["denoise", "--input", str(bad), "--output", str(out), "--dict", str(d)],
+            "code": ["code", "--input", str(bad), "--output", str(out), "--dict", str(d)],
+            "eval": ["eval", "--input", str(bad), "--reference", str(noise_wav)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "%s: invalid sample rate 0 in 'fmt ' chunk at byte 12" % bad in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_outputs_get_the_mode_of_a_plain_open(self, tmp_path, noise_wav):
+        old = os.umask(0o022)
+        try:
+            assert main(train_args(noise_wav, tmp_path / "d.bin")) == 0
+            assert main(["denoise", "--input", str(noise_wav), "--output", str(tmp_path / "c.wav"),
+                         "--dict", str(tmp_path / "d.bin"), "--window-len", "32", "--hop", "16",
+                         "--reference", str(noise_wav), "--report", str(tmp_path / "r.json")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("d.bin", "c.wav", "r.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

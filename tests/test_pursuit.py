@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -239,6 +242,27 @@ class TestBatchConsistency:
             assert np.allclose(batch[t].code.gains, single.code.gains, atol=1e-9)
             assert np.allclose(batch[t].residual, single.residual, atol=1e-9)
 
+    def test_classic_code_independent_of_blas_threads(self):
+        # OpenBLAS reads its thread count at start-up, so each count codes in
+        # a fresh interpreter; the problem is audio-scale, F = 513 and K = 40
+        code = "\n".join([
+            "import hashlib, numpy as np",
+            "from poksvd.pipeline import random_dictionary",
+            "from poksvd.pursuit import PursuitConfig, po_omp_batch",
+            "rng = np.random.default_rng(9)",
+            "D = random_dictionary(rng, 2, 513, 40)",
+            "Y = rng.standard_normal((1026, 120)) + 1j * rng.standard_normal((1026, 120))",
+            "b = po_omp_batch(Y, D, PursuitConfig(phase_optimization=False))",
+            "print(hashlib.sha256(b.gains.tobytes() + b.columns.tobytes() + b.residual.tobytes()).hexdigest())",
+        ])
+        src = os.path.dirname(os.path.dirname(pursuit.__file__))
+        digests = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n))).stdout
+            for n in (1, 2)
+        ]
+        assert digests[0] == digests[1]
+
     def test_bad_frame_matrix_rejected(self):
         rng = np.random.default_rng(17)
         D = random_dictionary(rng, channels=2, bins=4, num_atoms=3)
@@ -295,13 +319,19 @@ class TestGeneratedBatches:
 
     # few draws are batch-sensitive singular supports, so take more of them
     @settings(GENERATED, max_examples=400)
-    @given(any_problems, st.sampled_from(["derived", "literal"]), st.sampled_from([1e-4, 0.0]))
-    def test_frame_code_independent_of_batch(self, problem, rule, tau):
-        # phase-optimized coding only: classic-mode scores go through a BLAS
-        # matrix product whose kernel, and so its last bits, depends on the
-        # number of columns
+    @given(any_problems, st.sampled_from(["derived", "literal"]), st.sampled_from([1e-4, 0.0]),
+           st.booleans())
+    def test_frame_code_independent_of_batch(self, problem, rule, tau, phase_optimization):
         D, Y, _ = generated(problem)
-        assert_frames_batch_independent(Y, D, PursuitConfig(s_max=problem[4], tau=tau, selection_rule=rule))
+        assert_frames_batch_independent(Y, D, PursuitConfig(
+            s_max=problem[4], tau=tau, selection_rule=rule, phase_optimization=phase_optimization))
+
+    @pytest.mark.parametrize("phase_optimization", [True, False])
+    def test_one_atom_frames_independent_of_batch(self, phase_optimization):
+        # K = 1 and F >= 8: a lone frame's correlations are one column, which
+        # a plain numpy sum over the bins would add pairwise instead of in order
+        D, Y, _ = generated((2, 16, 1, 5, 1, 7))
+        assert_frames_batch_independent(Y, D, PursuitConfig(s_max=1, phase_optimization=phase_optimization))
 
     @GENERATED
     @given(problems, st.booleans())
@@ -347,32 +377,33 @@ def coded_in_blocks(Y, D, cfg, width):
 class TestColumnBlocks:
     @pytest.mark.parametrize("T, width, bounds", [
         (1, 16, [(0, 1)]),
-        (31, 16, [(0, 31)]),
+        (31, 16, [(0, 16), (16, 31)]),
         (32, 16, [(0, 16), (16, 32)]),
-        (49, 16, [(0, 16), (16, 32), (32, 49)]),
-        (311, 48, [(0, 48), (48, 96), (96, 144), (144, 192), (192, 240), (240, 311)]),
+        (49, 16, [(0, 16), (16, 32), (32, 48), (48, 49)]),
+        (311, 48, [(0, 48), (48, 96), (96, 144), (144, 192), (192, 240), (240, 288), (288, 311)]),
+        (0, 16, []),
+        (3, 1, [(0, 1), (1, 2), (2, 3)]),
     ])
-    def test_starts_at_multiples_and_folds_the_tail(self, T, width, bounds):
+    def test_consecutive_blocks_of_the_width(self, T, width, bounds):
         assert pursuit._column_blocks(T, width) == bounds
 
     def test_width_bounds_the_score_tensor(self):
-        assert pursuit._block_width(513, 40) == 48
+        assert pursuit._block_width(513, 40) == 51
+        assert 16 * 513 * 40 * 51 <= pursuit.SCORE_BUDGET_BYTES < 16 * 513 * 40 * 52
         assert pursuit._block_width(16, 5) > 1000  # the criterion shapes code in one block
-        assert pursuit._block_width(4097, 400) == 16  # never narrower than 16
+        assert pursuit._block_width(4097, 400) == 1  # one frame even over the budget
 
-    # Draws T = blocks * width + tail, so a one-frame tail (T mod W = 1) is
-    # drawn as often as any other; shapes stay small enough that OpenBLAS
-    # runs every product single-threaded (see README, "Batched pursuit").
+    # Draws T = blocks * width + tail, so every tail from 0 to width - 1 is
+    # drawn, one-frame blocks included.
     @settings(GENERATED, max_examples=300)
-    @given(any_problems, st.integers(4, 12), st.integers(0, 3), st.integers(0, 47), st.booleans())
-    def test_blocks_are_bitwise_one_batch(self, problem, quarter, blocks, tail, phase_optimization):
-        width = 4 * quarter
+    @given(any_problems, st.integers(1, 12), st.integers(0, 4), st.integers(0, 47), st.booleans())
+    def test_blocks_are_bitwise_one_batch(self, problem, width, blocks, tail, phase_optimization):
         T = blocks * width + tail % width
         assume(T >= 1)
         D, _, rng = generated(problem)
         Y = random_complex(rng, D.channels * D.bins, T)
         cfg = PursuitConfig(s_max=problem[4], phase_optimization=phase_optimization)
-        one = coded_in_blocks(Y, D, cfg, 4 * (T // 4 + 4))  # wider than T: one block
+        one = coded_in_blocks(Y, D, cfg, T)
         coded = coded_in_blocks(Y, D, cfg, width)
         for name in ("support", "lengths", "gains", "columns", "residual"):
             assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -36,6 +37,15 @@ class TestRoundTrip:
     def test_bad_format_name_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="fmt"):
             write_wav(tmp_path / "d.wav", np.zeros(4), 8000, fmt="pcm24")
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_wav(tmp_path / "m.wav", np.zeros(4), 8000)
+        finally:
+            os.umask(old)
+        assert (tmp_path / "m.wav").stat().st_mode & 0o777 == mode
 
 
 class TestReadErrors:
@@ -94,6 +104,17 @@ class TestReadErrors:
         p = tmp_path / "x.wav"
         p.write_bytes(bytes(blob))
         with pytest.raises(WavError, match="unsupported format"):
+            read_wav(p)
+
+    @pytest.mark.parametrize("offset, what", [(22, "channel count"), (24, "sample rate")])
+    def test_zero_channels_or_rate_names_the_fmt_chunk(self, tmp_path, offset, what):
+        good = tmp_path / "good.wav"
+        write_wav(good, np.zeros(10), 8000)
+        blob = bytearray(good.read_bytes())
+        struct.pack_into("<H" if what == "channel count" else "<I", blob, offset, 0)
+        p = tmp_path / "x.wav"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(WavError, match="%s: invalid %s 0 in 'fmt ' chunk at byte 12" % (p, what)):
             read_wav(p)
 
     def test_extensible_float32_accepted(self, tmp_path):
