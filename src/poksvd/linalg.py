@@ -12,7 +12,8 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +28,19 @@ class Diagnostics:
 
     ridge_fallbacks: int = 0
     refine_cap_hits: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def add(self, **counts):
+        """Add to the named counters as one step, so that column blocks
+        coded on concurrent threads lose no count."""
+        with self._lock:
+            for name, n in counts.items():
+                setattr(self, name, getattr(self, name) + n)
 
     def reset(self):
-        self.ridge_fallbacks = 0
-        self.refine_cap_hits = 0
+        with self._lock:
+            self.ridge_fallbacks = 0
+            self.refine_cap_hits = 0
 
 
 diagnostics = Diagnostics()
@@ -90,7 +100,7 @@ def least_squares_solve(A, y):
             x[t] = np.linalg.solve(G[t], b[t])
         except np.linalg.LinAlgError:
             ridge = RIDGE_SCALE * max(np.trace(G[t]).real, 1.0) / G.shape[1]
-            diagnostics.ridge_fallbacks += 1
+            diagnostics.add(ridge_fallbacks=1)
             x[t] = np.linalg.solve(G[t] + ridge * np.eye(G.shape[1]), b[t])
     return x
 

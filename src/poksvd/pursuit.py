@@ -1,5 +1,5 @@
 """Greedy phase-optimized sparse coding (PO-OMP), frames coded in lockstep
-in fixed-width column blocks.
+in fixed-width column blocks, the blocks shared out among the available cores.
 
 Each outer step selects the atom whose per-bin phase-rotated copy best
 matches the residual, then alternately refines all gains (least squares on
@@ -13,6 +13,8 @@ of the least-squares gains, which on real data reduces to a sign.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,9 @@ import numpy as np
 from .linalg import diagnostics, least_squares_solve, unit_phase
 from .model import CodingBatch
 
-# Bytes allowed for one column block's complex (F, K, width) score tensor;
-# sets the block width of po_omp_batch, so its memory does not grow with T.
+# Bytes allowed for the complex (F, K, width) score tensors of all column
+# blocks in flight; sets the block width of po_omp_batch, so its memory does
+# not grow with T or with the worker count.
 SCORE_BUDGET_BYTES = 16 * 2**20
 
 
@@ -160,7 +163,7 @@ def _batch_refine(Y, blocks, supp, cols, cfg):
         done |= (prev == 0) | (np.abs(prev - norm) < cfg.epsilon * np.where(prev > 0, prev, 1.0))
         idx, prev = idx[~done], norm[~done]
     else:
-        diagnostics.refine_cap_hits += idx.size
+        diagnostics.add(refine_cap_hits=idx.size)
     return gains, cols, R
 
 
@@ -174,16 +177,24 @@ def _selected_columns(B, k_sel, bins, cfg):
     return np.broadcast_to(phi[None, :], (bins, k_sel.size)).copy()
 
 
-def _block_width(bins, num_atoms):
-    """Frames per column block: as many as keep one block's complex (F, K, W)
-    score tensor within SCORE_BUDGET_BYTES, and at least one."""
-    return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms))
+def _block_width(bins, num_atoms, workers=1):
+    """Frames per column block: as many as keep ``workers`` blocks' complex
+    (F, K, W) score tensors within SCORE_BUDGET_BYTES together, and at least
+    one."""
+    return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms * workers))
 
 
 def _column_blocks(T, width):
     """[a, b) bounds of consecutive ``width``-frame column blocks; the last
     one takes the remaining T mod width frames when that is not 0."""
     return [(a, min(a + width, T)) for a in range(0, T, width)]
+
+
+def _worker_count():
+    """Cores this process may run on, read on every call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def po_omp_batch(Y, D, cfg=None):
@@ -193,7 +204,10 @@ def po_omp_batch(Y, D, cfg=None):
     frame count and item t is frame t's CodingResult.  Each frame's code
     does not depend on the other frames of the batch, so coding in blocks
     of ``_block_width`` frames gives the one-batch result bit for bit while
-    the score tensor stays within SCORE_BUDGET_BYTES.
+    the score tensors stay within SCORE_BUDGET_BYTES.  With n available
+    cores the budget is split n ways, and the blocks are coded by the
+    calling thread and up to n - 1 helper threads; a single block is coded
+    on the calling thread alone.
     """
     cfg = cfg or PursuitConfig()
     Y = np.asarray(Y, dtype=np.complex128)
@@ -204,12 +218,53 @@ def po_omp_batch(Y, D, cfg=None):
         raise ValueError("frame matrix has non-finite entries")
     batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
     blocks = D.blocks()
-    for a, b in _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms)):
+    workers = _worker_count()
+    spans = _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms, workers))
+
+    def code(a, b):
         _code_block(
             Y[:, a:b], blocks, cfg, batch.support[:, a:b], batch.lengths[a:b],
             batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
         )
+
+    _share_out(code, spans, min(workers, len(spans)) - 1)
     return batch
+
+
+def _share_out(code, spans, helpers):
+    """Call ``code(a, b)`` for every span, on the calling thread and
+    ``helpers`` helper threads that all take the next span from one shared
+    queue.  The first exception stops the taking of spans and is raised
+    again here once every thread has finished its current span."""
+    queue = iter(spans)
+    lock = threading.Lock()
+    errors = []
+
+    def take():
+        with lock:
+            return None if errors else next(queue, None)
+
+    def drain():
+        try:
+            for span in iter(take, None):
+                code(*span)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=drain, daemon=True) for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # interrupted while waiting: take no new span
+        with lock:
+            errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
 
 
 def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):

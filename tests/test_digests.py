@@ -1,13 +1,17 @@
 """Byte-identity check: SHA-256 digests of a fixed set of seeded outputs,
 compared item by item with the committed ``tests/digests.json``.
 
-    python tests/test_digests.py            # print this build's digests as JSON
-    python tests/test_digests.py --record   # rewrite tests/digests.json
+    python tests/test_digests.py             # print this build's digests as JSON
+    python tests/test_digests.py --one-cpu   # the same, run on one CPU
+    python tests/test_digests.py --record    # rewrite tests/digests.json
 
-The set runs in a fresh interpreter with one OpenBLAS thread.  Digests
-belong to the numpy/OpenBLAS build that recorded them; on another build the
-test skips and names both builds.  A change that moves output bits on
-purpose re-records the file and names the items it changed.
+The set runs in a fresh interpreter with one OpenBLAS thread, once on one
+CPU, where ``po_omp_batch`` codes every column block on the calling thread,
+and once on all the CPUs the process may use, where the multi-block problem
+shares its blocks out among threads.  Digests belong to the numpy/OpenBLAS
+build that recorded them; on another build the test skips and names both
+builds.  A change that moves output bits on purpose re-records the file and
+names the items it changed.
 """
 
 import contextlib
@@ -115,13 +119,13 @@ def compute():
     return {"versions": build_versions(), "digests": items}
 
 
-def test_seeded_outputs_match_recorded_digests():
+def check_digests(*flags):
     recorded = json.loads(RECORD.read_text())
     if recorded["versions"] != build_versions():
         pytest.skip("digests were recorded under %s; this build is %s"
                     % (recorded["versions"], build_versions()))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, __file__, *flags], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout)["digests"]
     want = recorded["digests"]
@@ -129,14 +133,26 @@ def test_seeded_outputs_match_recorded_digests():
     assert not changed, "outputs differ from %s: %s" % (RECORD.name, ", ".join(changed))
 
 
+def test_seeded_outputs_match_recorded_digests():
+    check_digests("--one-cpu")
+
+
+def test_threaded_outputs_match_recorded_digests():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("only one CPU is available, so po_omp_batch starts no helper thread here")
+    check_digests()
+
+
 if __name__ == "__main__":
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         # OpenBLAS reads its thread count at load time: start again with one
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         sys.exit(subprocess.run([sys.executable] + sys.argv, env=env).returncode)
+    if "--one-cpu" in sys.argv[1:]:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(SRC))
     result = json.dumps(compute(), indent=1, sort_keys=True) + "\n"
-    if sys.argv[1:] == ["--record"]:
+    if "--record" in sys.argv[1:]:
         RECORD.write_text(result)
     else:
         sys.stdout.write(result)

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from poksvd.linalg import (
+    Diagnostics,
     PowerIterationError,
     diagnostics,
     dominant_singular_triple,
@@ -12,6 +16,29 @@ from poksvd.linalg import (
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestDiagnostics:
+    def test_concurrent_adds_lose_no_count(self):
+        # more threads than cores, switching as often as the interpreter allows
+        counts, threads, adds = Diagnostics(), 8, 20000
+
+        def add_many():
+            for _ in range(adds):
+                counts.add(refine_cap_hits=1, ridge_fallbacks=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=add_many) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert (counts.refine_cap_hits, counts.ridge_fallbacks) == (threads * adds, 2 * threads * adds)
 
 
 class TestLeastSquaresSolve:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary
+from poksvd import pursuit
+from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
 from poksvd.pipeline import (
     SyntheticSpec,
     apply_mask,
@@ -13,7 +16,7 @@ from poksvd.pipeline import (
     random_dictionary,
     support_recovery_rate,
 )
-from poksvd.pursuit import PursuitConfig
+from poksvd.pursuit import PursuitConfig, po_omp_batch
 from poksvd.stft import Spectrogram
 
 
@@ -103,13 +106,28 @@ class TestGenerateSynthetic:
 
 
 class TestDenoise:
-    def test_target_plus_noise_equals_mixture(self):
-        rng = np.random.default_rng(3)
-        spg, truth = generate_synthetic(
-            SyntheticSpec(channels=2, bins=8, frames=30, num_atoms=5, s_max=2, seed=1)
-        )
-        target, noise = denoise(spg, truth["dictionary"], PursuitConfig(s_max=2))
-        assert np.allclose(target.values + noise.values, spg.values, atol=1e-10)
+    # (M, F, K, T, s_max, seed), both modes, on one core or on two cores
+    # that share out blocks of 1 to 4 frames
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 6), st.integers(1, 12),
+                     st.integers(1, 3), st.integers(0, 2**32 - 1)),
+           st.booleans(), st.integers(1, 2), st.integers(1, 4))
+    def test_target_plus_noise_equals_mixture(self, problem, phase_optimization, workers, width):
+        M, F, K, T, s_max, seed = problem
+        rng = np.random.default_rng(seed)
+        D = random_dictionary(rng, channels=M, bins=F, num_atoms=K)
+        mixture = Spectrogram(values=random_complex(rng, F, M, T))
+        cfg = PursuitConfig(s_max=s_max, phase_optimization=phase_optimization)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "_worker_count", lambda: workers)
+            mp.setattr(pursuit, "SCORE_BUDGET_BYTES", width * workers * 16 * F * K)
+            target, noise = denoise(mixture, D, cfg)
+        Y = mixture.values
+        atol = 1e-12 * np.abs(Y).max()
+        assert np.allclose(target.values + noise.values, Y, rtol=0, atol=atol)
+        # and the noise estimate is the coded noise of every frame
+        coded = reconstruct(D, po_omp_batch(mixture.frame_matrix(), D, cfg))
+        assert np.allclose(noise.frame_matrix(), coded, rtol=0, atol=atol)
 
     def test_in_model_noise_is_fully_removed(self):
         spg, truth = generate_synthetic(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poksvd import pursuit
+from poksvd.linalg import diagnostics
 from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
 from poksvd.pipeline import random_dictionary
 from poksvd.pursuit import (
@@ -366,11 +368,13 @@ class TestGeneratedBatches:
             prev = norms
 
 
-def coded_in_blocks(Y, D, cfg, width):
-    """po_omp_batch with the score budget set to give ``width``-frame blocks."""
+def coded_in_blocks(Y, D, cfg, width, workers=1):
+    """po_omp_batch on ``workers`` cores, the score budget set to give
+    ``width``-frame blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pursuit, "SCORE_BUDGET_BYTES", width * 16 * D.bins * D.num_atoms)
-        assert pursuit._block_width(D.bins, D.num_atoms) == width
+        mp.setattr(pursuit, "_worker_count", lambda: workers)
+        mp.setattr(pursuit, "SCORE_BUDGET_BYTES", width * workers * 16 * D.bins * D.num_atoms)
+        assert pursuit._block_width(D.bins, D.num_atoms, workers) == width
         return po_omp_batch(Y, D, cfg)
 
 
@@ -390,37 +394,87 @@ class TestColumnBlocks:
     def test_width_bounds_the_score_tensor(self):
         assert pursuit._block_width(513, 40) == 51
         assert 16 * 513 * 40 * 51 <= pursuit.SCORE_BUDGET_BYTES < 16 * 513 * 40 * 52
+        # two workers share the budget: two blocks in flight hold no more
+        assert pursuit._block_width(513, 40, 2) == 25
         assert pursuit._block_width(16, 5) > 1000  # the criterion shapes code in one block
         assert pursuit._block_width(4097, 400) == 1  # one frame even over the budget
 
     # Draws T = blocks * width + tail, so every tail from 0 to width - 1 is
-    # drawn, one-frame blocks included.
+    # drawn, one-frame blocks included, and 1 to 3 workers to code them.
     @settings(GENERATED, max_examples=300)
-    @given(any_problems, st.integers(1, 12), st.integers(0, 4), st.integers(0, 47), st.booleans())
-    def test_blocks_are_bitwise_one_batch(self, problem, width, blocks, tail, phase_optimization):
+    @given(any_problems, st.integers(1, 12), st.integers(0, 4), st.integers(0, 47), st.booleans(),
+           st.integers(1, 3))
+    def test_blocks_are_bitwise_one_batch(self, problem, width, blocks, tail, phase_optimization, workers):
         T = blocks * width + tail % width
         assume(T >= 1)
         D, _, rng = generated(problem)
         Y = random_complex(rng, D.channels * D.bins, T)
         cfg = PursuitConfig(s_max=problem[4], phase_optimization=phase_optimization)
         one = coded_in_blocks(Y, D, cfg, T)
-        coded = coded_in_blocks(Y, D, cfg, width)
+        coded = coded_in_blocks(Y, D, cfg, width, workers)
         for name in ("support", "lengths", "gains", "columns", "residual"):
             assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
 
     def test_peak_memory_does_not_grow_with_frame_count(self):
         rng = np.random.default_rng(0)
         D = random_dictionary(rng, 2, 257, 200)
-        peaks = []
-        for T in (80, 400):
-            Y = random_complex(rng, D.channels * D.bins, T)
+
+        def peak(Y, workers):
             tracemalloc.start()
             try:
-                po_omp_batch(Y, D, PursuitConfig(s_max=2))
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(pursuit, "_worker_count", lambda: workers)
+                    po_omp_batch(Y, D, PursuitConfig(s_max=2))
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
+
+        short, long = (random_complex(rng, D.channels * D.bins, T) for T in (80, 400))
+        serial = peak(long, 1)
+        assert serial <= 1.5 * peak(short, 1)
+        # two workers code half-width blocks, so as much is in flight
+        assert peak(long, 2) <= 1.1 * serial
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("problem, cfg, counter", [
+        # every frame reaches the sweep cap once it has two atoms
+        ((2, 8, 6, 24, 3, 5), PursuitConfig(s_max=3, tau=0, epsilon=1e-12, max_refine_iters=2),
+         "refine_cap_hits"),
+        # M * F = 1 < s_max: every frame that takes a second atom is singular
+        ((1, 1, 4, 24, 3, 6), PursuitConfig(s_max=3, tau=0), "ridge_fallbacks"),
+    ])
+    def test_counts_do_not_depend_on_the_worker_count(self, problem, cfg, counter):
+        D, Y, _ = generated(problem)
+        counts = []
+        for workers in (1, 2):
+            diagnostics.reset()
+            coded_in_blocks(Y, D, cfg, 3, workers)
+            counts.append((diagnostics.refine_cap_hits, diagnostics.ridge_fallbacks))
+        assert counts[0] == counts[1]
+        assert getattr(diagnostics, counter) > 0
+
+    def test_helper_error_is_raised_and_threads_end(self):
+        D, Y, _ = generated((2, 4, 3, 12, 2, 8))
+        caller, failed = threading.current_thread(), threading.Event()
+        error = RuntimeError("block failed")
+        code_block = pursuit._code_block
+
+        def fail_on_helper(*args):
+            if threading.current_thread() is caller:
+                failed.wait(10)  # leave the next block to the helper
+                return code_block(*args)
+            failed.set()
+            raise error
+
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "_code_block", fail_on_helper)
+            with pytest.raises(RuntimeError) as raised:
+                coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 2)
+        assert raised.value is error
+        assert failed.is_set()
+        assert threading.active_count() == before
 
 
 class TestConfigValidation:

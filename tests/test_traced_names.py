@@ -1,15 +1,20 @@
 """The benchmark's tracer times each layer by replacing module attributes
 (``poksvd.cli.stft``, ``poksvd.learning.update_atom``, ...) with wrappers.
 A call that bypasses such a name would silently zero a per-layer metric, so
-every name must stay on the path that the CLI and the library run."""
+every name must stay on the path that the CLI and the library run.  The
+tracer's span stack is not thread-safe, so every such call must also come
+from the thread that called into the package, whatever threads
+``po_omp_batch`` starts to code its column blocks."""
 
 import functools
 import importlib
+import threading
 
 import numpy as np
 
 import poksvd.learning
 import poksvd.pipeline
+from poksvd import pursuit
 from poksvd.cli import main
 from poksvd.learning import LearningConfig
 from poksvd.pursuit import PursuitConfig
@@ -38,17 +43,20 @@ TRACED = [
 def counting(calls, key, fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        calls[key] += 1
+        calls[key].append(threading.current_thread())
         return fn(*args, **kwargs)
 
     return wrapper
 
 
 def test_every_traced_name_is_called(tmp_path, monkeypatch):
-    calls = dict.fromkeys(TRACED, 0)
+    calls = {key: [] for key in TRACED}
     for module, attr in TRACED:
         mod = importlib.import_module(module)
         monkeypatch.setattr(mod, attr, counting(calls, (module, attr), getattr(mod, attr)))
+    # two workers and 8-frame blocks at the CLI's 17 bins and 3 atoms
+    monkeypatch.setattr(pursuit, "_worker_count", lambda: 2)
+    monkeypatch.setattr(pursuit, "SCORE_BUDGET_BYTES", 8 * 2 * 16 * 17 * 3)
 
     rng = np.random.default_rng(0)
     wav, d = tmp_path / "noise.wav", tmp_path / "d.bin"
@@ -63,4 +71,6 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
     model = poksvd.learning.po_ksvd(Y, 2, LearningConfig(num_atoms=3, pursuit=pcfg, max_outer_iters=1))
     poksvd.pipeline.denoise(Spectrogram.from_frame_matrix(Y, 2), model.dictionary, pcfg)
 
-    assert [key for key, n in calls.items() if n == 0] == []
+    assert [key for key, threads in calls.items() if not threads] == []
+    caller = threading.current_thread()
+    assert [key for key, threads in calls.items() if set(threads) != {caller}] == []
