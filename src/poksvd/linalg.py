@@ -2,10 +2,14 @@
 
 Three primitives are needed: a batched least-squares solve, the
 unit-modulus phase z/|z|, and the dominant singular triple of a complex
-matrix.  ``least_squares_solve`` solves the normal equations of many small
-systems in one LAPACK call; a singular system gets a small ridge and is
-counted in ``diagnostics.ridge_fallbacks`` (``refine_cap_hits`` counts
-frames whose gain/phase refinement reached its sweep cap).  All are
+matrix.  ``least_squares_frames`` solves the normal equations of many small
+systems in one LAPACK call, frame-major: frames on the leading axis and the
+rows of each system last and contiguous, the layout of the pursuit's
+refinement kernel.  ``least_squares_solve`` is its view on (rows, cols, T)
+systems; ``einsum`` adds the rows in order whatever the layout, so both give
+the same bits.  A singular system gets a small ridge and is counted in
+``diagnostics.ridge_fallbacks`` (``refine_cap_hits`` counts frames whose
+gain/phase refinement reached its sweep cap).  All are
 deterministic: the power iteration always starts from the same (all-ones)
 vector.
 """
@@ -67,11 +71,7 @@ class PowerIterationError(RuntimeError):
 def least_squares_solve(A, y):
     """Minimize ||y[:, t] - A[:, :, t] x_t||_2 over complex x_t, for every t.
 
-    The normal equations of all T systems go to one batched
-    ``np.linalg.solve``.  Only if that call raises are they solved one at a
-    time, and each singular one gets a small ridge proportional to
-    trace(A^H A)/cols and counts once in ``diagnostics.ridge_fallbacks``;
-    so every regular system's solution does not depend on the others.
+    A view of ``least_squares_frames`` on (rows, cols, T) systems.
 
     Parameters
     ----------
@@ -88,8 +88,23 @@ def least_squares_solve(A, y):
         return least_squares_solve(A[:, :, None], y[:, None])[0]
     if A.ndim != 3 or y.ndim != 2 or A.shape[0] != y.shape[0] or A.shape[2] != y.shape[1]:
         raise ValueError("dimension mismatch: A is %s, y is %s" % (A.shape, y.shape))
-    G = np.einsum("ait,ajt->tij", A.conj(), A)
-    b = np.einsum("ait,at->ti", A.conj(), y)
+    return least_squares_frames(A.transpose(2, 1, 0), y.T)
+
+
+def least_squares_frames(A, y):
+    """Minimize ||y[t] - sum_i x_ti A[t, i]||_2 over complex x_t, for every t.
+
+    Frame-major: A is (T, cols, rows), row i of A[t] being column i of
+    system t, and y is (T, rows), so the sums run over the last axis.  The normal equations of all T systems go to one batched
+    ``np.linalg.solve``.  Only if that call raises are they solved one at a
+    time, and each singular one gets a small ridge proportional to
+    trace(A^H A)/cols and counts once in ``diagnostics.ridge_fallbacks``;
+    so every regular system's solution does not depend on the others.
+    Returns x (T, cols).
+    """
+    Ah = A.conj()
+    G = np.einsum("tia,tja->tij", Ah, A)
+    b = np.einsum("tia,ta->ti", Ah, y)
     try:
         return np.linalg.solve(G, b[..., None])[..., 0]
     except np.linalg.LinAlgError:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import diagnostics, least_squares_solve, unit_phase
+from .linalg import diagnostics, least_squares_frames, unit_phase
 from .model import CodingBatch
 
 # Bytes allowed for the complex (F, K, width) score tensors of all column
@@ -83,7 +83,7 @@ def refine_support(y, D, support, columns, cfg):
     y = np.asarray(y, dtype=np.complex128)[:, None]
     supp = np.array(support)[:, None]
     cols = np.stack(columns, axis=1).astype(np.complex128)[:, :, None]
-    gains, cols, r = _batch_refine(y, D.blocks(), supp, cols, cfg)
+    gains, cols, r = _batch_refine(y, D.blocks().transpose(2, 0, 1), supp, cols, cfg)
     return gains[0], list(cols[:, :, 0].T), r[:, 0]
 
 
@@ -102,69 +102,81 @@ def _batch_scores(R3, blocks, cfg):
     return np.abs(B).sum(axis=0), B
 
 
-def _batch_refine(Y, blocks, supp, cols, cfg):
+def _batch_refine(Y, atoms, supp, cols, cfg):
     """Lockstep gain/phase alternation for every frame of the batch.
 
-    Y (MF, T), supp (s, T), cols (F, s, T).  Returns new arrays
-    (gains (T, s), cols, R (MF, T)); a frame stops sweeping once its
-    residual norm reaches the floor or stalls.
+    Y (MF, T), atoms (K, F, M), supp (s, T), cols (F, s, T).  Returns new
+    arrays (gains (T, s), cols (F, s, T), R (MF, T)); a frame stops
+    sweeping once its residual norm reaches the floor or stalls, or at the
+    sweep cap.
+
+    The sweeps run frame-major: the arrays are converted once on entry and
+    once on return, so that frames lie on the leading axis and every sum
+    runs over a last, contiguous bin or channel axis.  The support blocks
+    and their per-bin energies are gathered once and compacted only when
+    frames leave, and a frame's gains, columns and residual are written
+    once, when it leaves.
     """
-    F, M, _ = blocks.shape
+    _, F, M = atoms.shape
     s, T = supp.shape
-    gains = np.zeros((T, s))
-    R = Y.copy()
-    cols = cols.copy()
     norms_y = np.linalg.norm(Y, axis=0)
+    floor = np.maximum(cfg.tau, 1e-14 * norms_y)
+    slack = 1e-15 * norms_y**2
+    y = np.ascontiguousarray(Y.T)  # (T, MF)
+    cw = np.ascontiguousarray(cols.transpose(2, 1, 0))  # (T, s, F)
+    bg = atoms[supp.T]  # (T, s, F, M)
+    bin_sq = np.einsum("tsfm,tsfm->tsf", bg.conj(), bg).real
+    gains, cols_out, R_out = np.zeros((T, s)), cw.copy(), y.copy()  # as given if no sweep runs
     idx = np.arange(T)  # frames still refining
     prev = np.full(T, np.inf)  # their last residual norms; inf never stalls
     for sweep in range(cfg.max_refine_iters):
         if idx.size == 0:
             break
-        Yw = Y[:, idx]
-        sw = supp[:, idx]  # (s, Tw)
-        cw = cols[:, :, idx]  # (F, s, Tw)
-        bg = blocks[:, :, sw]  # (F, M, s, Tw)
-        bin_sq = np.einsum("fmst,fmst->fst", bg.conj(), bg).real  # (F, s, Tw)
-
         # (a) batched least squares on the phase-corrected sub-dictionaries
-        sub = (cw[:, None, :, :] * bg).reshape(F * M, s, idx.size)
-        z = least_squares_solve(sub, Yw)  # (Tw, s)
+        sub = (cw[:, :, :, None] * bg).reshape(idx.size, s, F * M)
+        z = least_squares_frames(sub, y)  # (frames still refining, s)
         g = np.abs(z)
-        cw = cw * unit_phase(z).T[None, :, :]
-        Rw = Yw - np.einsum("ast,ts->at", sub, z)
+        cw = cw * unit_phase(z)[:, :, None]
+        R = y - np.einsum("tsa,ts->ta", sub, z)
 
         if cfg.phase_optimization:
-            R3 = Rw.reshape(F, M, idx.size)
-            slack = 1e-15 * norms_y[idx] ** 2
+            R3 = R.reshape(idx.size, F, M)
+            energy = np.einsum("tfm,tfm->tf", R3, R3.conj()).real  # per bin, carried
             for j in range(s):
-                dk = bg[:, :, j, :]  # (F, M, Tw)
-                b = np.einsum("fmt,fmt->ft", dk.conj(), R3)
+                dk, c, gj = bg[:, j], cw[:, j], g[:, j, None]
+                b = np.einsum("tfm,tfm->tf", dk.conj(), R3)
                 # exact per-bin minimizer: the ||d_f||^2 weight matters
                 # whenever the bin blocks are not unit-norm
-                z_f = b + cw[:, j, :] * g[None, :, j] * bin_sq[:, j, :]
-                phi_new = unit_phase(z_f, cw[:, j, :])
-                delta = (cw[:, j, :] - phi_new) * g[None, :, j]
-                R_new = R3 + delta[:, None, :] * dk
+                z_f = b + c * gj * bin_sq[:, j]
+                phi_new = unit_phase(z_f, c)
+                delta = (c - phi_new) * gj
+                R_new = R3 + delta[:, :, None] * dk
+                e_new = np.einsum("tfm,tfm->tf", R_new, R_new.conj()).real
                 # a bin's new phase is kept only if it does not increase the residual
-                accept = (
-                    np.einsum("fmt,fmt->ft", R_new, R_new.conj()).real
-                    <= np.einsum("fmt,fmt->ft", R3, R3.conj()).real + slack[None, :]
-                ) & (g[None, :, j] > 0)
-                R3 = np.where(accept[:, None, :], R_new, R3)
-                cw[:, j, :] = np.where(accept, phi_new, cw[:, j, :])
-            Rw = R3.reshape(F * M, idx.size)
+                accept = (e_new <= energy + slack[:, None]) & (gj > 0)
+                R3 = np.where(accept[:, :, None], R_new, R3)
+                cw[:, j] = np.where(accept, phi_new, c)
+                energy = np.where(accept, e_new, energy)
+            R = R3.reshape(idx.size, F * M)
 
-        gains[idx, :] = g
-        cols[:, :, idx] = cw
-        R[:, idx] = Rw
-
-        norm = np.linalg.norm(Rw, axis=0)
-        done = norm <= np.maximum(cfg.tau, 1e-14 * norms_y[idx])
+        # summed over the rows in order, as add.reduce does on an (MF, T) array
+        norm = np.linalg.norm(np.ascontiguousarray(R.T), axis=0)
+        done = norm <= floor
         done |= (prev == 0) | (np.abs(prev - norm) < cfg.epsilon * np.where(prev > 0, prev, 1.0))
-        idx, prev = idx[~done], norm[~done]
+        # every frame still refining at the cap leaves with this sweep's code
+        leave = done | (sweep + 1 == cfg.max_refine_iters)
+        if leave.any():
+            out = idx[leave]
+            gains[out], cols_out[out], R_out[out] = g[leave], cw[leave], R[leave]
+        if done.any():
+            keep = ~done
+            idx, prev, y, cw, bg, bin_sq, floor, slack = (
+                a[keep] for a in (idx, norm, y, cw, bg, bin_sq, floor, slack))
+        else:
+            prev = norm
     else:
         diagnostics.add(refine_cap_hits=idx.size)
-    return gains, cols, R
+    return gains, cols_out.transpose(2, 1, 0), R_out.T
 
 
 def _selected_columns(B, k_sel, bins, cfg):
@@ -218,12 +230,13 @@ def po_omp_batch(Y, D, cfg=None):
         raise ValueError("frame matrix has non-finite entries")
     batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
     blocks = D.blocks()
+    atoms = np.ascontiguousarray(blocks.transpose(2, 0, 1))  # (K, F, M) for the refinement
     workers = _worker_count()
     spans = _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms, workers))
 
     def code(a, b):
         _code_block(
-            Y[:, a:b], blocks, cfg, batch.support[:, a:b], batch.lengths[a:b],
+            Y[:, a:b], blocks, atoms, cfg, batch.support[:, a:b], batch.lengths[a:b],
             batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
         )
 
@@ -267,9 +280,11 @@ def _share_out(code, spans, helpers):
         raise errors[0]
 
 
-def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):
+def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
     """Greedy PO-OMP on the frames Y (MF, T), writing into views of one
-    CodingBatch's arrays; R holds Y on entry."""
+    CodingBatch's arrays; R holds Y on entry.  blocks are the dictionary's
+    (F, M, K) blocks for the scoring, atoms the same as (K, F, M) for the
+    refinement."""
     F, M, _ = blocks.shape
     T = Y.shape[1]
     norms = np.linalg.norm(R, axis=0)
@@ -291,10 +306,11 @@ def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):
 
         supp[i] = k_sel
         cols[:, i] = _selected_columns(B, k_sel, F, cfg)
+        del B  # free the (F, K, T) correlations before the refinement and the next scoring
         supp_len[grow] = i + 1
 
         gains[grow, : i + 1], cols[:, : i + 1, grow], R[:, grow] = _batch_refine(
-            Y[:, grow], blocks, supp[: i + 1, grow], cols[:, : i + 1, grow], cfg
+            Y[:, grow], atoms, supp[: i + 1, grow], cols[:, : i + 1, grow], cfg
         )
         norms = np.linalg.norm(R, axis=0)
 

@@ -82,6 +82,23 @@ def library_items():
         cfg = PursuitConfig(s_max=2, phase_optimization=phase)
         yield from _batch_items("po_omp_batch/F513-T120/" + mode, po_omp_batch(Y, D, cfg))
 
+    # singular supports, M * F = 2 < s_max = 3: 6 ridge fallbacks phase-optimized, 4 classic
+    rng = np.random.default_rng(3)
+    D = random_dictionary(rng, 2, 1, 6)
+    Y = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    for mode, phase in MODES.items():
+        cfg = PursuitConfig(s_max=3, tau=0, phase_optimization=phase)
+        yield from _batch_items("po_omp_batch/ridge-M2F1-s3/" + mode, po_omp_batch(Y, D, cfg))
+
+    # audio-scale stereo in several column blocks, refinement capped at two sweeps:
+    # phase-optimized, 90 of 180 refinements reach the cap and the rest stall on the last sweep
+    rng = np.random.default_rng(1026)
+    D = random_dictionary(rng, 2, 513, 40)
+    Y = rng.standard_normal((1026, 90)) + 1j * rng.standard_normal((1026, 90))
+    for mode, phase in MODES.items():
+        cfg = PursuitConfig(s_max=3, epsilon=0.05, max_refine_iters=2, phase_optimization=phase)
+        yield from _batch_items("po_omp_batch/F513-M2-cap2/" + mode, po_omp_batch(Y, D, cfg))
+
 
 def cli_items(tmp):
     from poksvd.cli import main
