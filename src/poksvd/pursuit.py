@@ -22,10 +22,14 @@ import numpy as np
 from .linalg import diagnostics, least_squares_frames, unit_phase
 from .model import CodingBatch
 
-# Bytes allowed for the complex (F, K, width) score tensors of all column
-# blocks in flight; sets the block width of po_omp_batch, so its memory does
-# not grow with T or with the worker count.
+# Bytes of complex (F, K) correlations that the frames of all column blocks
+# in flight may stand for together; sets the block width of po_omp_batch, so
+# its memory does not grow with T or with the worker count.
 SCORE_BUDGET_BYTES = 16 * 2**20
+
+# Bins per slab of the atom scoring: a greedy step forms and reduces its
+# correlations one slab at a time, never all F bins at once.
+SCORE_SLAB = 32
 
 
 @dataclass
@@ -60,14 +64,15 @@ def select_best_atom(residual, D, excluded=frozenset(), cfg=None):
     """
     cfg = cfg or PursuitConfig()
     R3 = np.asarray(residual, dtype=np.complex128).reshape(D.bins, D.channels, 1)
-    scores, B = _batch_scores(R3, D.blocks(), cfg)
+    blocks = D.blocks()
+    scores, total = _batch_scores(R3, blocks, cfg)
     mask = np.isin(np.arange(D.num_atoms), list(excluded))
     if mask.all():
         raise ValueError("no candidate atoms left")
     scores = np.where(mask, -1.0, scores[:, 0])
     k = int(np.argmax(scores))  # argmax breaks ties by lowest index
     gain = float(max(scores[k], 0.0))
-    return k, gain, _selected_columns(B, np.array([k]), D.bins, cfg)[:, 0]
+    return k, gain, _selected_columns(R3, blocks, np.array([k]), total, cfg)[:, 0]
 
 
 def refine_support(y, D, support, columns, cfg):
@@ -88,18 +93,29 @@ def refine_support(y, D, support, columns, cfg):
 
 
 def _batch_scores(R3, blocks, cfg):
-    """Selection scores (K, T) for a batch of residuals R3 (F, M, T), and the
-    correlations they come from: per bin (F, K, T), or summed over the bins
-    (K, T) in classic mode."""
-    B = np.einsum("fmk,fmt->fkt", blocks.conj(), R3)
-    if not cfg.phase_optimization:
-        # bins added in order whatever the shape: B.sum(axis=0) turns
-        # pairwise when K * T = 1, which would give a lone frame other bits
-        b = sum(B[1:], B[0])
-        return np.abs(b), b
-    if cfg.selection_rule == "literal":
-        return np.abs(unit_phase(B, 0.0).sum(axis=0)), B
-    return np.abs(B).sum(axis=0), B
+    """Selection scores (K, T) for a batch of residuals R3 (F, M, T), and
+    the sums over the bins (K, T) that they are the moduli of: sums of the
+    per-bin correlations' |b| (derived), b/|b| (literal) or b (classic).
+
+    The correlations are formed SCORE_SLAB bins at a time and turned into
+    terms there.  Each slab's first row takes the running sum of the slabs
+    before it, and one in-order reduction adds up the slab, so the bins are
+    added in order for every shape and mode: a lone frame gets the bits it
+    has in a batch.
+    """
+    for a in range(0, R3.shape[0], SCORE_SLAB):
+        B = np.einsum("fmk,fmt->fkt", blocks[a : a + SCORE_SLAB].conj(), R3[a : a + SCORE_SLAB])
+        if not cfg.phase_optimization:
+            term = B
+        elif cfg.selection_rule == "literal":
+            term = unit_phase(B, 0.0)
+        else:
+            term = np.abs(B)
+        del B
+        if a:
+            term[0] += total
+        total = np.add.accumulate(term, axis=0)[-1].copy()
+    return np.abs(total), total
 
 
 def _batch_refine(Y, atoms, supp, cols, cfg):
@@ -115,18 +131,22 @@ def _batch_refine(Y, atoms, supp, cols, cfg):
     runs over a last, contiguous bin or channel axis.  The support blocks
     and their per-bin energies are gathered once and compacted only when
     frames leave, and a frame's gains, columns and residual are written
-    once, when it leaves.
+    once, when it leaves.  One copy of each working array is live at a
+    time: the entry copies of Y and cols double as the outputs, since a
+    frame's rows are read only until it leaves.
     """
     _, F, M = atoms.shape
     s, T = supp.shape
     norms_y = np.linalg.norm(Y, axis=0)
     floor = np.maximum(cfg.tau, 1e-14 * norms_y)
     slack = 1e-15 * norms_y**2
-    y = np.ascontiguousarray(Y.T)  # (T, MF)
-    cw = np.ascontiguousarray(cols.transpose(2, 1, 0))  # (T, s, F)
+    y = np.array(Y.T, order="C")  # (T, MF)
+    cw = np.array(cols.transpose(2, 1, 0), order="C")  # (T, s, F)
+    R_out, cols_out, gains = y, cw, np.zeros((T, s))  # as given if no sweep runs
     bg = atoms[supp.T]  # (T, s, F, M)
-    bin_sq = np.einsum("tsfm,tsfm->tsf", bg.conj(), bg).real
-    gains, cols_out, R_out = np.zeros((T, s)), cw.copy(), y.copy()  # as given if no sweep runs
+    bin_sq = np.empty((T, s, F))
+    for j in range(s):
+        bin_sq[:, j] = np.einsum("tfm,tfm->tf", bg[:, j].conj(), bg[:, j]).real
     idx = np.arange(T)  # frames still refining
     prev = np.full(T, np.inf)  # their last residual norms; inf never stalls
     for sweep in range(cfg.max_refine_iters):
@@ -135,29 +155,18 @@ def _batch_refine(Y, atoms, supp, cols, cfg):
         # (a) batched least squares on the phase-corrected sub-dictionaries
         sub = (cw[:, :, :, None] * bg).reshape(idx.size, s, F * M)
         z = least_squares_frames(sub, y)  # (frames still refining, s)
-        g = np.abs(z)
-        cw = cw * unit_phase(z)[:, :, None]
         R = y - np.einsum("tsa,ts->ta", sub, z)
+        del sub
+        g = np.abs(z)
+        # not in place: an in-place complex multiply can round differently
+        cw = cw * unit_phase(z)[:, :, None]
 
         if cfg.phase_optimization:
-            R3 = R.reshape(idx.size, F, M)
+            R3 = R.reshape(idx.size, F, M)  # a view: the updates write through it
             energy = np.einsum("tfm,tfm->tf", R3, R3.conj()).real  # per bin, carried
             for j in range(s):
-                dk, c, gj = bg[:, j], cw[:, j], g[:, j, None]
-                b = np.einsum("tfm,tfm->tf", dk.conj(), R3)
-                # exact per-bin minimizer: the ||d_f||^2 weight matters
-                # whenever the bin blocks are not unit-norm
-                z_f = b + c * gj * bin_sq[:, j]
-                phi_new = unit_phase(z_f, c)
-                delta = (c - phi_new) * gj
-                R_new = R3 + delta[:, :, None] * dk
-                e_new = np.einsum("tfm,tfm->tf", R_new, R_new.conj()).real
-                # a bin's new phase is kept only if it does not increase the residual
-                accept = (e_new <= energy + slack[:, None]) & (gj > 0)
-                R3 = np.where(accept[:, :, None], R_new, R3)
-                cw[:, j] = np.where(accept, phi_new, c)
-                energy = np.where(accept, e_new, energy)
-            R = R3.reshape(idx.size, F * M)
+                _update_phase(R3, bg[:, j], cw[:, j], g[:, j, None], bin_sq[:, j], energy, slack)
+            del R3
 
         # summed over the rows in order, as add.reduce does on an (MF, T) array
         norm = np.linalg.norm(np.ascontiguousarray(R.T), axis=0)
@@ -168,10 +177,15 @@ def _batch_refine(Y, atoms, supp, cols, cfg):
         if leave.any():
             out = idx[leave]
             gains[out], cols_out[out], R_out[out] = g[leave], cw[leave], R[leave]
+        del R
         if done.any():
             keep = ~done
-            idx, prev, y, cw, bg, bin_sq, floor, slack = (
-                a[keep] for a in (idx, norm, y, cw, bg, bin_sq, floor, slack))
+            idx, prev, floor, slack = idx[keep], norm[keep], floor[keep], slack[keep]
+            # one array at a time, so that no old and new copy are live together
+            y = y[keep]
+            cw = cw[keep]
+            bg = bg[keep]
+            bin_sq = bin_sq[keep]
         else:
             prev = norm
     else:
@@ -179,20 +193,45 @@ def _batch_refine(Y, atoms, supp, cols, cfg):
     return gains, cols_out.transpose(2, 1, 0), R_out.T
 
 
-def _selected_columns(B, k_sel, bins, cfg):
-    """Initial (F, T) phase columns of the atoms ``k_sel`` chosen from the
-    correlations B of ``_batch_scores``; constant per frame in classic mode."""
-    frames = np.arange(k_sel.size)
+def _update_phase(R3, dk, c, g, dk_sq, energy, slack):
+    """One closed-form phase update of a support slot, in place, for every
+    frame: R3 (T, F, M) residuals, dk (T, F, M) the slot's atom blocks, c
+    (T, F) its phase column, g (T, 1) its gain, dk_sq (T, F) the blocks'
+    per-bin energies, energy (T, F) the residuals' per-bin energies.  A
+    bin's new phase is kept only if it does not increase the residual."""
+    b = np.einsum("tfm,tfm->tf", dk.conj(), R3)
+    # exact per-bin minimizer: the ||d_f||^2 weight matters
+    # whenever the bin blocks are not unit-norm
+    z_f = b + c * g * dk_sq
+    phi_new = unit_phase(z_f, c)
+    R_new = R3 + ((c - phi_new) * g)[:, :, None] * dk
+    e_new = np.einsum("tfm,tfm->tf", R_new, R_new.conj()).real
+    accept = (e_new <= energy + slack[:, None]) & (g > 0)
+    np.copyto(R3, R_new, where=accept[:, :, None])
+    np.copyto(c, phi_new, where=accept)
+    np.copyto(energy, e_new, where=accept)
+
+
+def _selected_columns(R3, blocks, k_sel, total, cfg):
+    """Initial (F, T) phase columns of the atoms ``k_sel`` chosen by
+    ``_batch_scores`` for the residuals R3 (F, M, T): the phases of the
+    chosen atoms' per-bin correlations, formed again from their gathered
+    blocks, or in classic mode the phase of the summed correlation in
+    ``total`` (K, T), constant per frame."""
     if cfg.phase_optimization:
-        return unit_phase(B[:, k_sel, frames])  # (F, T)
-    phi = unit_phase(B[k_sel, frames])
-    return np.broadcast_to(phi[None, :], (bins, k_sel.size)).copy()
+        chosen = blocks[:, :, k_sel]  # (F, M, T), a copy conjugated in place
+        return unit_phase(np.einsum("fmt,fmt->ft", np.conj(chosen, out=chosen), R3))
+    phi = unit_phase(total[k_sel, np.arange(k_sel.size)])
+    return np.broadcast_to(phi[None, :], (R3.shape[0], k_sel.size)).copy()
 
 
 def _block_width(bins, num_atoms, workers=1):
-    """Frames per column block: as many as keep ``workers`` blocks' complex
-    (F, K, W) score tensors within SCORE_BUDGET_BYTES together, and at least
-    one."""
+    """Frames per column block, W = SCORE_BUDGET_BYTES / (16 F K workers)
+    and at least one.  The scoring holds only a SCORE_SLAB-bin slab of a
+    block's correlations, so W no longer sizes a score tensor: it sets how
+    many frames a block codes in lockstep, and with them the size of each
+    block's refinement arrays, about five copies of its (W, s, F, M)
+    support blocks."""
     return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms * workers))
 
 
@@ -216,7 +255,7 @@ def po_omp_batch(Y, D, cfg=None):
     frame count and item t is frame t's CodingResult.  Each frame's code
     does not depend on the other frames of the batch, so coding in blocks
     of ``_block_width`` frames gives the one-batch result bit for bit while
-    the score tensors stay within SCORE_BUDGET_BYTES.  With n available
+    the working arrays stay those of the blocks in flight.  With n available
     cores the budget is split n ways, and the blocks are coded by the
     calling thread and up to n - 1 helper threads; a single block is coded
     on the calling thread alone.
@@ -295,7 +334,8 @@ def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
         active = greedy & (norms > cfg.tau)
         if not active.any():
             break
-        scores, B = _batch_scores(R.reshape(F, M, T), blocks, cfg)
+        R3 = R.reshape(F, M, T)  # a view of the batch's residuals
+        scores, total = _batch_scores(R3, blocks, cfg)
         scores[supp[:i], frames] = -1.0
         k_sel = np.argmax(scores, axis=0)
         g_sel = scores[k_sel, frames]
@@ -305,12 +345,13 @@ def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
             break
 
         supp[i] = k_sel
-        cols[:, i] = _selected_columns(B, k_sel, F, cfg)
-        del B  # free the (F, K, T) correlations before the refinement and the next scoring
+        cols[:, i] = _selected_columns(R3, blocks, k_sel, total, cfg)
         supp_len[grow] = i + 1
 
-        gains[grow, : i + 1], cols[:, : i + 1, grow], R[:, grow] = _batch_refine(
-            Y[:, grow], atoms, supp[: i + 1, grow], cols[:, : i + 1, grow], cfg
+        # views, not copies, when every frame grows: the kernel copies its inputs
+        sel = slice(None) if grow.all() else grow
+        gains[sel, : i + 1], cols[:, : i + 1, sel], R[:, sel] = _batch_refine(
+            Y[:, sel], atoms, supp[: i + 1, sel], cols[:, : i + 1, sel], cfg
         )
         norms = np.linalg.norm(R, axis=0)
 

@@ -98,6 +98,18 @@ def library_items():
     for mode, phase in MODES.items():
         cfg = PursuitConfig(s_max=3, epsilon=0.05, max_refine_iters=2, phase_optimization=phase)
         yield from _batch_items("po_omp_batch/F513-M2-cap2/" + mode, po_omp_batch(Y, D, cfg))
+    # the same problem under the literal selection rule: 513 bins end in a one-bin slab
+    cfg = PursuitConfig(s_max=3, epsilon=0.05, max_refine_iters=2, selection_rule="literal")
+    yield from _batch_items("po_omp_batch/F513-M2-cap2/literal", po_omp_batch(Y, D, cfg))
+
+    # a one-atom dictionary over two scoring slabs, the last of one bin
+    rng = np.random.default_rng(33)
+    D = random_dictionary(rng, 2, 33, 1)
+    Y = rng.standard_normal((66, 30)) + 1j * rng.standard_normal((66, 30))
+    for mode, cfg in (("phase", PursuitConfig(s_max=2)),
+                      ("literal", PursuitConfig(s_max=2, selection_rule="literal")),
+                      ("classic", PursuitConfig(s_max=2, phase_optimization=False))):
+        yield from _batch_items("po_omp_batch/K1-M2F33/" + mode, po_omp_batch(Y, D, cfg))
 
 
 def cli_items(tmp):

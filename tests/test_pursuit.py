@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poksvd import pursuit
-from poksvd.linalg import diagnostics
+from poksvd.linalg import diagnostics, unit_phase
 from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
 from poksvd.pipeline import random_dictionary
 from poksvd.pursuit import (
@@ -143,6 +144,45 @@ class TestSelectBestAtom:
         scores = np.abs((B / np.abs(B)).sum(axis=0))
         assert k == int(np.argmax(scores))
         assert gain == pytest.approx(scores[k], abs=1e-10)
+
+
+# the three scoring modes, by the term each adds over the bins
+SCORING = {
+    "derived": (PursuitConfig(), np.abs),
+    "literal": (PursuitConfig(selection_rule="literal"), lambda b: unit_phase(b, 0.0)),
+    "classic": (PursuitConfig(phase_optimization=False), lambda b: b),
+}
+
+
+class TestScoring:
+    @settings(GENERATED, max_examples=100)
+    @given(problems, st.integers(1, 8), st.sampled_from(sorted(SCORING)))
+    def test_bins_are_added_in_order_in_slabs_of_any_width(self, problem, slab, mode):
+        cfg, term = SCORING[mode]
+        D, Y, _ = generated(problem)
+        R3 = Y.reshape(D.bins, D.channels, -1)
+        B = np.einsum("fmk,fmt->fkt", D.blocks().conj(), R3)
+        total = functools.reduce(np.add, term(B))  # bin 0 + bin 1 + ..., in order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "SCORE_SLAB", slab)
+            scores, got = pursuit._batch_scores(R3, D.blocks(), cfg)
+        assert got.tobytes() == total.tobytes()
+        assert scores.tobytes() == np.abs(total).tobytes()
+
+    # one atom, so a lone frame's correlations are a single (F, 1, 1) column:
+    # its bins must still be added in the order a batch adds them
+    @settings(GENERATED, max_examples=200)
+    @given(st.integers(1, 3), st.integers(1, 80), st.integers(2, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(sorted(SCORING)))
+    def test_one_atom_gain_is_the_batch_score(self, M, F, T, seed, mode):
+        cfg, _ = SCORING[mode]
+        rng = np.random.default_rng(seed)
+        D = random_dictionary(rng, channels=M, bins=F, num_atoms=1)
+        Y = random_complex(rng, M * F, T)
+        scores, _ = pursuit._batch_scores(Y.reshape(F, M, T), D.blocks(), cfg)
+        for t in range(T):
+            _, gain, _ = select_best_atom(Y[:, t], D, cfg=cfg)
+            assert np.float64(gain).tobytes() == scores[0, t].tobytes()
 
 
 class TestRefineSupport:
@@ -430,24 +470,73 @@ class TestColumnBlocks:
             assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
 
     def test_peak_memory_does_not_grow_with_frame_count(self):
+        # the working memory: the traced peak less the returned batch's own
+        # arrays, which hold every frame's code and so grow with T
         rng = np.random.default_rng(0)
         D = random_dictionary(rng, 2, 257, 200)
 
-        def peak(Y, workers):
+        def working(Y, workers):
             tracemalloc.start()
             try:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(pursuit, "_worker_count", lambda: workers)
-                    po_omp_batch(Y, D, PursuitConfig(s_max=2))
-                return tracemalloc.get_traced_memory()[1]
+                    batch = po_omp_batch(Y, D, PursuitConfig(s_max=2))
+                own = sum(getattr(batch, name).nbytes
+                          for name in ("support", "lengths", "gains", "columns", "residual"))
+                return tracemalloc.get_traced_memory()[1] - own
             finally:
                 tracemalloc.stop()
 
         short, long = (random_complex(rng, D.channels * D.bins, T) for T in (80, 400))
-        serial = peak(long, 1)
-        assert serial <= 1.5 * peak(short, 1)
+        serial = working(long, 1)
+        assert serial <= 1.1 * working(short, 1)
+        # one block's (F, K, W) correlations alone would take the 16 MiB budget
+        assert serial <= 12 * 2**20
         # two workers code half-width blocks, so as much is in flight
-        assert peak(long, 2) <= 1.1 * serial
+        assert working(long, 2) <= 1.1 * serial
+
+
+def traced_peak(call):
+    """Bytes of the highest traced allocation level while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The kernels' working memory on one audio-scale column block: W = 51
+    stereo F = 513 frames, the block width at K = 40 on one core."""
+
+    F, M, K, W, s = 513, 2, 40, 51, 3
+
+    def problem(self):
+        rng = np.random.default_rng(51)
+        D = random_dictionary(rng, self.M, self.F, self.K)
+        return D, random_complex(rng, self.M * self.F, self.W), rng
+
+    def test_refinement_holds_one_copy_of_each_array(self):
+        D, Y, rng = self.problem()
+        atoms = np.ascontiguousarray(D.blocks().transpose(2, 0, 1))
+        supp = np.array([rng.permutation(self.K)[: self.s] for _ in range(self.W)]).T
+        cols = np.exp(2j * np.pi * rng.uniform(size=(self.F, self.s, self.W)))
+        U = 16 * self.s * self.F * self.M * self.W  # bytes of the (W, s, F, M) support blocks
+        cfg = PursuitConfig(s_max=self.s)
+        assert traced_peak(lambda: _batch_refine(Y, atoms, supp, cols, cfg)) <= 7 * U
+
+    @pytest.mark.parametrize("cfg, mib", [
+        (PursuitConfig(), 4),
+        (PursuitConfig(phase_optimization=False), 4),
+        (PursuitConfig(selection_rule="literal"), 6),  # b/|b| takes three slab-sized temporaries
+    ])
+    def test_scoring_holds_no_score_tensor(self, cfg, mib):
+        # the block's (F, K, W) correlations alone would take 16 MiB
+        D, Y, _ = self.problem()
+        blocks = D.blocks()
+        R3 = Y.reshape(self.F, self.M, self.W)
+        assert traced_peak(lambda: pursuit._batch_scores(R3, blocks, cfg)) <= mib * 2**20
 
 
 class TestWorkers:
