@@ -11,6 +11,7 @@ a bad value included), 2 I/O error (a missing config file included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,10 +19,10 @@ import numpy as np
 
 from .dictio import DictionaryFileError, load_dictionary, save_dictionary
 from .learning import LearningConfig, po_ksvd
-from .pipeline import SyntheticSpec, denoise, evaluate, generate_synthetic
-from .pursuit import PursuitConfig, po_omp_batch
-from .stft import StftConfig, istft, stft
-from .wavio import WavError, _atomic_write, read_wav, write_wav
+from .pipeline import SyntheticSpec, apply_mask, denoise, evaluate, generate_synthetic
+from .pursuit import PursuitConfig, chunk_width, po_omp_batch
+from .stft import OverlapAdd, Spectrogram, StftConfig, frame_count, istft, stft
+from .wavio import WavError, WavWriter, _atomic_write, read_wav, wav_info, write_wav
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
@@ -76,20 +77,27 @@ def _parse_channels(spec, available):
     return idx
 
 
-def _analysis(args, D=None, prov=None):
-    """STFT of the ``--channels`` of ``args.input``.  Given a loaded
-    dictionary and its provenance, the input must match both."""
-    samples, rate = read_wav(args.input)
-    chans = _parse_channels(args.channels, samples.shape[1])
+def _input(args, D=None, prov=None):
+    """The parsed header of ``args.input``, the ``--channels`` it selects
+    and its StftConfig.  Given a loaded dictionary and its provenance, the
+    input must match both."""
+    info = wav_info(args.input)
+    chans = _parse_channels(args.channels, info.channels)
     if D is not None and len(chans) != D.channels:
         raise ValueError(
             "channel-count mismatch: dictionary has %d, input provides %d"
             % (D.channels, len(chans))
         )
-    cfg = StftConfig(sample_rate=rate, window_len=args.window_len, hop=args.hop)
+    cfg = StftConfig(sample_rate=info.rate, window_len=args.window_len, hop=args.hop)
     if prov is not None and cfg != prov:
         raise ValueError("STFT provenance mismatch: dictionary has %s, input requires %s" % (prov, cfg))
-    return stft(samples[:, chans], cfg)
+    return info, chans, cfg
+
+
+def _analysis(args, D=None, prov=None):
+    """STFT of the ``--channels`` of the whole of ``args.input``."""
+    info, chans, cfg = _input(args, D, prov)
+    return stft(read_wav(info)[0][:, chans], cfg)
 
 
 def _pursuit_config(args):
@@ -121,15 +129,40 @@ def cmd_train(args):
 
 
 def cmd_denoise(args):
+    """Stream the input through the denoiser ``chunk_width`` frames at a
+    time: each chunk is read, analysed, coded, overlap-added and appended to
+    the outputs, which appear only once every chunk is written.  A frame's
+    code does not depend on the other frames, so the outputs are those of a
+    whole-file run bit for bit.  ``--mask`` needs the whole file's target
+    and noise spectrograms, so it keeps them and synthesizes at the end."""
     D, prov = load_dictionary(args.dict)
-    spec = _analysis(args, D, prov)
-    target, noise = denoise(
-        spec, D, _pursuit_config(args), mask=args.mask, floor_quantile=args.floor_quantile
-    )
-    rate = spec.config.sample_rate
-    write_wav(args.output, istft(target), rate)
-    if args.emit_noise:
-        write_wav(args.emit_noise, istft(noise), rate)
+    info, chans, cfg = _input(args, D, prov)
+    wl, hop, rate = cfg.window_len, cfg.hop, cfg.sample_rate
+    T = frame_count(info.frames, cfg)
+    n = (T - 1) * hop + wl
+    pcfg = _pursuit_config(args)
+    width = chunk_width(D.bins, D.num_atoms)
+    with contextlib.ExitStack() as stack:
+        sinks = [(stack.enter_context(WavWriter(path, n, len(chans), rate)), OverlapAdd(cfg, len(chans), T))
+                 for path in (args.output, args.emit_noise) if path]
+
+        def emit(*specs):  # the target, then the noise estimate if asked for
+            for (out, acc), spec in zip(sinks, specs):
+                write_wav(out, istft(spec, acc), rate)
+
+        kept = []
+        for t0 in range(0, T, width):
+            t1 = min(t0 + width, T)
+            samples, _ = read_wav(info, t0 * hop, (t1 - 1) * hop + wl)
+            target, noise = denoise(stft(samples[:, chans], cfg), D, pcfg)
+            if args.mask:
+                kept.append((target.values, noise.values))
+            else:
+                emit(target, noise)
+        if args.mask:
+            target, noise = (Spectrogram(np.concatenate(v, axis=2), cfg) for v in zip(*kept))
+            del kept
+            emit(apply_mask(target, noise, args.floor_quantile), noise)
     if args.reference:
         ref, _ = read_wav(args.reference)
         est, _ = read_wav(args.output)

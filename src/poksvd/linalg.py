@@ -102,9 +102,7 @@ def least_squares_frames(A, y):
     so every regular system's solution does not depend on the others.
     Returns x (T, cols).
     """
-    Ah = A.conj()
-    G = np.einsum("tia,tja->tij", Ah, A)
-    b = np.einsum("tia,ta->ti", Ah, y)
+    G, b = _normal_equations(A, y)
     try:
         return np.linalg.solve(G, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -120,10 +118,35 @@ def least_squares_frames(A, y):
     return x
 
 
+def _normal_equations(A, y):
+    """G = A^H A (T, cols, cols) and b = A^H y (T, cols) of frame-major
+    systems, formed one support slot at a time so that the conjugate copy
+    is one slot's.  einsum adds the rows in order, so G and b have the bits
+    of the one-call products ``einsum("tia,tja->tij", A.conj(), A)`` and
+    ``einsum("tia,ta->ti", A.conj(), y)``."""
+    T, s, _ = A.shape
+    G = np.empty((T, s, s), dtype=np.complex128)
+    b = np.empty((T, s), dtype=np.complex128)
+    for i in range(s):
+        Ah = A[:, i].conj()
+        G[:, i, i:] = np.einsum("ta,tja->tj", Ah, A[:, i:])
+        b[:, i] = np.einsum("ta,ta->t", Ah, y)
+    # the lower triangle mirrors the upper; 0.0 - imag gives the +0 imaginary
+    # parts that the one-call sums give where a plain conjugate gives -0
+    for i in range(1, s):
+        upper = G[:, :i, i]
+        G[:, i, :i].real = upper.real
+        np.subtract(0.0, upper.imag, out=G[:, i, :i].imag)
+    return G, b
+
+
 def unit_phase(z, fallback=1.0):
     """Elementwise z/|z|: the unit-modulus phase of z, ``fallback`` where z is 0."""
     absz = np.abs(z)
-    return np.where(absz > 0, z / np.where(absz > 0, absz, 1.0), fallback)
+    pos = absz > 0  # False at NaN too, which takes the fallback
+    if pos.all():
+        return z / absz
+    return np.where(pos, z / np.where(pos, absz, 1.0), fallback)
 
 
 def dominant_singular_triple(A, tol=1e-12, max_iter=5000):

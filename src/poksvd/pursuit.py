@@ -48,6 +48,8 @@ class PursuitConfig:
             raise ValueError("tau must be >= 0")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
+        if self.max_refine_iters < 1:
+            raise ValueError("max_refine_iters must be >= 1")
         if self.selection_rule not in ("derived", "literal"):
             raise ValueError("selection_rule must be 'derived' or 'literal'")
 
@@ -207,6 +209,9 @@ def _update_phase(R3, dk, c, g, dk_sq, energy, slack):
     R_new = R3 + ((c - phi_new) * g)[:, :, None] * dk
     e_new = np.einsum("tfm,tfm->tf", R_new, R_new.conj()).real
     accept = (e_new <= energy + slack[:, None]) & (g > 0)
+    if accept.all():  # the usual case, and a plain copy is much faster
+        R3[...], c[...], energy[...] = R_new, phi_new, e_new
+        return
     np.copyto(R3, R_new, where=accept[:, :, None])
     np.copyto(c, phi_new, where=accept)
     np.copyto(energy, e_new, where=accept)
@@ -233,6 +238,15 @@ def _block_width(bins, num_atoms, workers=1):
     block's refinement arrays, about five copies of its (W, s, F, M)
     support blocks."""
     return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms * workers))
+
+
+def chunk_width(bins, num_atoms):
+    """Frames that one ``po_omp_batch`` call codes as exactly one column
+    block per available core: n * ``_block_width(bins, num_atoms, n)``.
+    Callers that code a long input in pieces use it as the piece size, so
+    that every core gets a full block in each call."""
+    workers = _worker_count()
+    return workers * _block_width(bins, num_atoms, workers)
 
 
 def _column_blocks(T, width):

@@ -81,11 +81,21 @@ class Spectrogram:
         return cls(values=frames.reshape(F, channels, T), config=config)
 
 
+def frame_count(samples, cfg):
+    """Frames of a ``samples``-long signal, T = floor((samples - window_len)/hop) + 1;
+    a signal shorter than one window raises ValueError."""
+    if samples < cfg.window_len:
+        raise ValueError("input too short: %d samples < window_len %d" % (samples, cfg.window_len))
+    return (samples - cfg.window_len) // cfg.hop + 1
+
+
 def stft(signal, cfg):
     """Short-time Fourier transform of a (samples, channels) signal.
 
     Frame t covers samples [t*hop, t*hop + window_len); trailing partial
-    windows are dropped, so T = floor((len - window_len)/hop) + 1.
+    windows are dropped, so T = floor((len - window_len)/hop) + 1.  Each
+    frame is transformed on its own, so the frames [t0, t1) of a signal are
+    those of its samples [t0*hop, (t1 - 1)*hop + window_len), bit for bit.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim == 1:
@@ -96,10 +106,8 @@ def stft(signal, cfg):
         raise ValueError("signal has non-finite samples")
     n, channels = signal.shape
     wl, hop = cfg.window_len, cfg.hop
-    if n < wl:
-        raise ValueError("input too short: %d samples < window_len %d" % (n, wl))
+    T = frame_count(n, cfg)
     w = _window(wl)
-    T = (n - wl) // hop + 1
     F = wl // 2 + 1
     starts = np.arange(T) * hop
     out = np.empty((F, channels, T), dtype=np.complex128)
@@ -109,28 +117,66 @@ def stft(signal, cfg):
     return Spectrogram(values=out, config=cfg)
 
 
-def istft(spec):
+class OverlapAdd:
+    """Weighted overlap-add synthesis of a ``frames``-frame spectrogram
+    given to ``istft`` in consecutive chunks of frames.
+
+    A chunk's frames are added to the window - hop samples that the frames
+    before it left unfinished, in frame order, so every output sample sums
+    the same frames in the same order as one whole-spectrogram call and gets
+    its bits.  Only that tail, and its squared-window sum, is carried over.
+    """
+
+    def __init__(self, cfg, channels, frames):
+        self.cfg, self.frames, self.done = cfg, frames, 0
+        carry = cfg.window_len - cfg.hop
+        self._out = np.zeros((carry, channels))
+        self._wsum = np.zeros(carry)
+
+    def add(self, values):
+        """Add the next (F, M, T) frames; return the samples they finish,
+        (T*hop, M), and with the last frame also the remaining tail."""
+        _, M, T = values.shape
+        wl, hop = self.cfg.window_len, self.cfg.hop
+        if self.done + T > self.frames:
+            raise ValueError("%d more frames exceed the %d frames of the synthesis (%d added)"
+                             % (T, self.frames, self.done))
+        w = _window(wl)
+        carry = wl - hop
+        n = T * hop + carry
+        out = np.zeros((n, M))
+        wsum = np.zeros(n)
+        out[:carry] = self._out
+        wsum[:carry] = self._wsum
+        for t in range(T):
+            seg = np.fft.irfft(values[:, :, t], n=wl, axis=0)
+            s = t * hop
+            out[s : s + wl, :] += seg * w[:, None]
+            wsum[s : s + wl] += w * w
+        self.done += T
+        if self.done < self.frames:  # the tail waits for the next chunk's frames
+            n = T * hop
+            self._out, self._wsum = out[n:].copy(), wsum[n:].copy()
+            out, wsum = out[:n], wsum[:n]
+        if np.any(wsum < 1e-8):
+            raise ValueError("non-invertible config: window-sum below 1e-8")
+        out /= wsum[:, None]
+        return out
+
+
+def istft(spec, acc=None):
     """Weighted overlap-add inverse with squared-window normalization.
 
     Perfect reconstruction on interior samples for unmodified spectrograms.
+    With ``acc``, an ``OverlapAdd`` that has taken the frames before
+    ``spec``'s, returns only the samples that ``spec``'s frames finish.
     """
     cfg = spec.config
     if cfg is None:
         raise ValueError("istft needs the spectrogram's StftConfig, but its config is None")
     F, M, T = spec.values.shape
-    wl, hop = cfg.window_len, cfg.hop
-    if F != wl // 2 + 1:
+    if F != cfg.window_len // 2 + 1:
         raise ValueError("spectrogram bins inconsistent with window_len")
-    w = _window(wl)
-    n = (T - 1) * hop + wl
-    out = np.zeros((n, M))
-    wsum = np.zeros(n)
-    for t in range(T):
-        seg = np.fft.irfft(spec.values[:, :, t], n=wl, axis=0)
-        s = t * hop
-        out[s : s + wl, :] += seg * w[:, None]
-        wsum[s : s + wl] += w * w
-    if np.any(wsum < 1e-8):
-        raise ValueError("non-invertible config: window-sum below 1e-8")
-    out /= wsum[:, None]
-    return out
+    if acc is None:
+        acc = OverlapAdd(cfg, M, T)
+    return acc.add(spec.values)

@@ -1,16 +1,23 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import poksvd
+import poksvd.cli
+from poksvd import pursuit
 from poksvd.cli import build_parser, main, parse_args
 from poksvd.dictio import load_dictionary, save_dictionary
-from poksvd.pipeline import random_dictionary
-from poksvd.stft import StftConfig
+from poksvd.pipeline import denoise, random_dictionary
+from poksvd.pursuit import PursuitConfig
+from poksvd.stft import StftConfig, istft, stft
 from poksvd.wavio import read_wav, write_wav
 
 
@@ -512,6 +519,140 @@ class TestDenoiseAndEval:
             os.umask(old)
         for name in ("d.bin", "c.wav", "r.json"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+
+@contextlib.contextmanager
+def chunks(workers, block, bins, atoms):
+    """``poksvd denoise``'s chunk set to ``workers * block`` frames: the
+    cores and score budget that give ``block``-frame column blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pursuit, "_worker_count", lambda: workers)
+        mp.setattr(pursuit, "SCORE_BUDGET_BYTES", block * workers * 16 * bins * atoms)
+        assert pursuit.chunk_width(bins, atoms) == workers * block
+        yield
+
+
+def stream_case(tmp, rng, samples, fmt, used, hop, window=16, atoms=3):
+    """A WAV of ``samples`` and a dictionary for its ``used`` channels."""
+    wav, d = tmp / "mix.wav", tmp / "d.bin"
+    write_wav(wav, samples, 8000, fmt)
+    cfg = StftConfig(sample_rate=8000, window_len=window, hop=hop)
+    save_dictionary(d, random_dictionary(rng, len(used), window // 2 + 1, atoms), cfg)
+    return wav, d, ["--window-len", str(window), "--hop", str(hop)]
+
+
+class TestStreamedDenoise:
+    """``poksvd denoise`` codes its input in chunks of frames, which the
+    small fixtures above never split; here chunks of 1-8 frames are forced."""
+
+    # Channel subsets of a 1-3 channel PCM16 or float32 input; hops of
+    # window/1, /2 and /4; T = q chunks + r frames, below one chunk (q = 0)
+    # and an exact multiple (r = 0) included, plus a partial trailing window.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["pcm16", "float32"]), st.integers(1, 3), st.data(),
+           st.sampled_from([16, 8, 4]), st.integers(1, 2), st.integers(1, 4), st.integers(0, 3),
+           st.integers(0, 7), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example("pcm16", 2, None, 8, 2, 2, 0, 3, False, False, False, 0)  # T below one chunk
+    @example("float32", 2, None, 4, 2, 2, 3, 0, True, True, True, 1)  # T three chunks exactly
+    def test_streamed_outputs_match_the_whole_file(self, tmp_path_factory, fmt, inputs, data,
+                                                   hop, workers, block, q, r, emit, no_phase, mask, seed):
+        chunk = workers * block
+        frames = max(1, q * chunk + r % chunk)
+        used = list(range(inputs)) if data is None else data.draw(
+            st.permutations(range(inputs)).flatmap(lambda p: st.integers(1, inputs).map(lambda k: p[:k])))
+        rng = np.random.default_rng(seed)
+        samples = 0.3 * rng.standard_normal(((frames - 1) * hop + 16 + seed % hop, inputs))
+        tmp = tmp_path_factory.mktemp("stream")
+        wav, d, flags = stream_case(tmp, rng, samples, fmt, used, hop)
+        argv = ["denoise", "--input", str(wav), "--dict", str(d), "--output", str(tmp / "out.wav"),
+                "--smax", "2", "--channels", ",".join(map(str, used))] + flags
+        argv += ["--emit-noise", str(tmp / "noise.wav")] if emit else []
+        argv += ["--no-phase"] if no_phase else []
+        argv += ["--mask"] if mask else []
+        with chunks(workers, block, 9, 3):
+            assert main(argv) == 0
+
+        x, rate = read_wav(wav)
+        D, cfg = load_dictionary(d)
+        target, noise = denoise(stft(x[:, used], cfg), D, PursuitConfig(s_max=2, phase_optimization=not no_phase),
+                                mask=mask)
+        assert target.frames == frames
+        write_wav(tmp / "whole_out.wav", istft(target), rate)
+        write_wav(tmp / "whole_noise.wav", istft(noise), rate)
+        assert (tmp / "out.wav").read_bytes() == (tmp / "whole_out.wav").read_bytes()
+        assert (tmp / "noise.wav").exists() == emit
+        if emit:
+            assert (tmp / "noise.wav").read_bytes() == (tmp / "whole_noise.wav").read_bytes()
+        assert list(tmp.glob("*.tmp")) == []
+
+    def test_nan_after_the_first_chunk_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(7)
+        samples = 0.3 * rng.standard_normal((8 * 20 + 8, 2))
+        samples[8 * 13, 1] = np.nan  # in frames 12 and 13: the fourth 4-frame chunk
+        wav, d, flags = stream_case(tmp_path, rng, samples, "float32", [0, 1], 8)
+        coded = []
+        monkeypatch.setattr(poksvd.cli, "denoise", lambda spec, *a, **k: coded.append(spec.frames)
+                            or denoise(spec, *a, **k))
+        (tmp_path / "noise.wav").write_bytes(b"kept")
+        capsys.readouterr()
+        with chunks(2, 2, 9, 3):
+            rc = main(["denoise", "--input", str(wav), "--dict", str(d), "--output", str(tmp_path / "out.wav"),
+                       "--emit-noise", str(tmp_path / "noise.wav")] + flags)
+        assert rc == 1
+        assert "error: signal has non-finite samples" in capsys.readouterr().err
+        assert coded == [4, 4, 4]
+        assert not (tmp_path / "out.wav").exists()
+        assert (tmp_path / "noise.wav").read_bytes() == b"kept"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("fault, rc, message", [
+        ("short", 1, "error: input too short: 15 samples < window_len 16"),
+        ("channels", 1, "error: channel-count mismatch: dictionary has 2, input provides 1"),
+        ("provenance", 1, "error: STFT provenance mismatch: dictionary has StftConfig(sample_rate=8000, "
+                          "window_len=16, hop=8), input requires StftConfig(sample_rate=8000, window_len=16, hop=4)"),
+        ("truncated", 2, "truncated 'data' chunk at byte 36 (need 800 bytes)"),
+        ("format", 2, "unsupported format (code 7, 32 bits); only PCM16 and float32"),
+    ])
+    def test_bad_input_fails_before_any_coding(self, tmp_path, capsys, monkeypatch, fault, rc, message):
+        rng = np.random.default_rng(8)
+        samples = 0.3 * rng.standard_normal((15 if fault == "short" else 100, 2))
+        wav, d, flags = stream_case(tmp_path, rng, samples, "float32", [0, 1], 8)
+        if fault == "channels":
+            flags += ["--channels", "1"]
+        if fault == "provenance":
+            flags[-1] = "4"
+        if fault in ("truncated", "format"):
+            blob = bytearray(wav.read_bytes())
+            if fault == "format":
+                blob[20:22] = (7).to_bytes(2, "little")
+            wav.write_bytes(bytes(blob[:-1] if fault == "truncated" else blob))
+        monkeypatch.setattr(poksvd.cli, "denoise", lambda *a, **k: pytest.fail("coded a frame"))
+        capsys.readouterr()
+        assert main(["denoise", "--input", str(wav), "--dict", str(d), "--output",
+                     str(tmp_path / "out.wav")] + flags) == rc
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin", "mix.wav"]
+
+    def test_memory_does_not_grow_with_the_input(self, tmp_path):
+        rng = np.random.default_rng(9)
+        samples = 0.3 * rng.standard_normal((16 * 1600 + 16, 2))
+        wav, d, flags = stream_case(tmp_path, rng, samples, "float32", [0, 1], 16, window=32)
+        write_wav(tmp_path / "short.wav", samples[: 16 * 200 + 16], 8000)
+        def peak(path):
+            argv = ["denoise", "--input", str(path), "--dict", str(d), "--output", str(tmp_path / "out.wav"),
+                    "--emit-noise", str(tmp_path / "noise.wav"), "--smax", "2"] + flags
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with chunks(1, 8, 17, 3):
+            peak(tmp_path / "short.wav")  # a first call also holds one-time allocations
+            short, long = peak(tmp_path / "short.wav"), peak(wav)
+        # 1601 frames against 201: whole-file arrays alone would grow eightfold
+        assert long <= 1.2 * short
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

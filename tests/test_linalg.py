@@ -3,10 +3,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.linalg import (
     Diagnostics,
     PowerIterationError,
+    _normal_equations,
     diagnostics,
     dominant_singular_triple,
     least_squares_solve,
@@ -108,12 +111,62 @@ class TestLeastSquaresSolve:
             least_squares_solve(np.ones((3, 2, 4)), np.ones((3, 5)))
 
 
+def adversarial_complex(rng, shape, zeros=0.2):
+    """Complex entries of random scale in 1e-150..1e150 with ``zeros`` of the
+    parts exactly 0, half of those -0."""
+    parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.uniform(-150, 150)
+    zero = rng.uniform(size=parts.shape) < zeros
+    parts[zero] = np.where(rng.uniform(size=parts.shape) < 0.5, 0.0, -0.0)[zero]
+    return parts[0] + 1j * parts[1]
+
+
+class TestNormalEquations:
+    # s 1-4 support slots, 1-12 rows, 1-6 frames; signed zeros, systems
+    # with every imaginary part a zero, scales 1e-150..1e150
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 6), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_slot_at_a_time_has_the_bits_of_one_call(self, s, rows, T, real, seed):
+        rng = np.random.default_rng(seed)
+        A = adversarial_complex(rng, (T, s, rows))
+        y = adversarial_complex(rng, (T, rows))
+        if real:
+            A = A.real + 1j * np.where(rng.uniform(size=A.shape) < 0.5, 0.0, -0.0)
+        G, b = _normal_equations(A, y)
+        Ah = A.conj()
+        assert G.tobytes() == np.einsum("tia,tja->tij", Ah, A).tobytes()
+        assert b.tobytes() == np.einsum("tia,ta->ti", Ah, y).tobytes()
+
+
 class TestUnitPhase:
     def test_unit_modulus_and_fallback_at_zero(self):
         z = np.array([2j, 0, -2.0, 0])
         assert np.array_equal(unit_phase(z), [1j, 1, -1, 1])
         assert np.array_equal(unit_phase(z, 0.0), [1j, 0, -1, 0])
         assert np.array_equal(unit_phase(z, np.array([5, 6, 7, 8j])), [1j, 6, -1, 8j])
+
+    @pytest.mark.parametrize("special", [0.0, -0.0, complex(-0.0, -0.0), np.nan, complex(0, np.nan),
+                                         np.inf, complex(-np.inf, 1), complex(np.inf, np.inf)])
+    @pytest.mark.parametrize("fallback", [1.0, 0.0, "array"])
+    def test_special_values_take_the_masked_formula(self, special, fallback):
+        rng = np.random.default_rng(4)
+        z = random_complex(rng, 6)
+        if fallback == "array":
+            fallback = random_complex(rng, 6)
+        for where in (None, 2):  # every entry, or one among nonzero ones
+            w = z.copy()
+            w[slice(None) if where is None else where] = special
+            absw = np.abs(w)
+            with np.errstate(invalid="ignore"):  # inf / inf
+                expected = np.where(absw > 0, w / np.where(absw > 0, absw, 1.0), fallback)
+                assert unit_phase(w, fallback).tobytes() == expected.tobytes()
+
+    def test_nonzero_input_takes_the_plain_quotient(self):
+        rng = np.random.default_rng(5)
+        z = adversarial_complex(rng, (40, 9), zeros=0.3)
+        z[z == 0] = 1e-300
+        absz = np.abs(z)
+        assert unit_phase(z, 0.0).tobytes() == np.where(absz > 0, z / absz, 0.0).tobytes()
 
 
 class TestDominantSingularTriple:

@@ -17,6 +17,7 @@ from poksvd.pipeline import random_dictionary
 from poksvd.pursuit import (
     PursuitConfig,
     _batch_refine,
+    _update_phase,
     po_omp,
     po_omp_batch,
     refine_support,
@@ -590,3 +591,43 @@ class TestConfigValidation:
             PursuitConfig(epsilon=0)
         with pytest.raises(ValueError):
             PursuitConfig(selection_rule="other")
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_no_refinement_sweep_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_refine_iters must be >= 1"):
+            PursuitConfig(max_refine_iters=cap)
+
+
+class TestPhaseUpdate:
+    # Frames of 1-4 channels and 1-40 bins, their gains positive; with a
+    # large slack every bin accepts its new phase, which takes the plain
+    # copy.  One more frame with gain 0 rejects all of its bins and so
+    # forces the masked copy on the same frames, which must give the bits
+    # of the plain one.
+    @settings(GENERATED, max_examples=200)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 4), st.sampled_from([1e10, 0.0]),
+           st.integers(0, 2**32 - 1))
+    def test_masked_copy_gives_the_bits_of_the_plain_copy(self, T, F, M, slack, seed):
+        rng = np.random.default_rng(seed)
+        R3 = random_complex(rng, T + 1, F, M)
+        dk = random_complex(rng, T + 1, F, M)
+        c = unit_phase(random_complex(rng, T + 1, F))
+        g = rng.uniform(0.1, 2.0, size=(T + 1, 1))
+        g[T] = 0.0
+        dk_sq = np.einsum("tfm,tfm->tf", dk.conj(), dk).real
+        energy = np.einsum("tfm,tfm->tf", R3, R3.conj()).real
+        slacks = np.full(T + 1, slack)
+
+        def updated(frames):
+            arrays = [a[:frames].copy() for a in (R3, c, energy)]
+            _update_phase(arrays[0], dk[:frames], arrays[1], g[:frames], dk_sq[:frames], arrays[2],
+                          slacks[:frames])
+            return arrays
+
+        plain, masked = updated(T), updated(T + 1)
+        for a, b in zip(plain, masked):
+            assert a.tobytes() == b[:T].tobytes()
+        # the extra frame kept its values
+        assert masked[1][T].tobytes() == c[T].tobytes()
+        if slack:
+            assert not np.array_equal(plain[1], c[:T])  # the phases did move

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poksvd.stft import Spectrogram, StftConfig, istft, stft
+from poksvd.stft import OverlapAdd, Spectrogram, StftConfig, _window, istft, stft
 
 
 class TestConfig:
@@ -35,6 +37,65 @@ class TestIstft:
         spec = Spectrogram(values=np.zeros((5, 1, 3), dtype=complex))
         with pytest.raises(ValueError, match="StftConfig"):
             istft(spec)
+
+
+def whole_overlap_add(values, cfg):
+    """Weighted overlap-add of all frames into one whole-length array."""
+    F, M, T = values.shape
+    wl, hop = cfg.window_len, cfg.hop
+    w = _window(wl)
+    out, wsum = np.zeros(((T - 1) * hop + wl, M)), np.zeros((T - 1) * hop + wl)
+    for t in range(T):
+        out[t * hop : t * hop + wl] += np.fft.irfft(values[:, :, t], n=wl, axis=0) * w[:, None]
+        wsum[t * hop : t * hop + wl] += w * w
+    return out / wsum[:, None]
+
+
+def chunk_bounds(T, cuts):
+    """[t0, t1) chunks of T frames split before each frame in ``cuts``."""
+    edges = [0] + sorted({c for c in cuts if 0 < c < T}) + [T]
+    return list(zip(edges, edges[1:]))
+
+
+# window 16 with every hop that divides it, 1-30 frames, 1-3 channels, and
+# chunk edges anywhere, one-frame chunks included
+chunked = st.tuples(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 30), st.integers(1, 3),
+                    st.lists(st.integers(1, 29), max_size=8), st.integers(0, 2**32 - 1))
+
+
+class TestChunks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(chunked)
+    def test_synthesis_in_chunks_has_the_bits_of_one_overlap_add(self, case):
+        hop, T, M, cuts, seed = case
+        rng = np.random.default_rng(seed)
+        cfg = StftConfig(sample_rate=1000, window_len=16, hop=hop)
+        values = rng.standard_normal((9, M, T)) + 1j * rng.standard_normal((9, M, T))
+        acc = OverlapAdd(cfg, M, T)
+        parts = [istft(Spectrogram(values[:, :, a:b], cfg), acc) for a, b in chunk_bounds(T, cuts)]
+        for (a, b), part in zip(chunk_bounds(T, cuts), parts):
+            assert part.shape[0] == (b - a) * hop + (16 - hop if b == T else 0)
+        whole = istft(Spectrogram(values, cfg))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert whole.tobytes() == whole_overlap_add(values, cfg).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(chunked, st.integers(0, 15))
+    def test_analysis_of_a_sample_range_gives_its_frames(self, case, extra):
+        hop, T, M, cuts, seed = case
+        cfg = StftConfig(sample_rate=1000, window_len=16, hop=hop)
+        x = np.random.default_rng(seed).standard_normal(((T - 1) * hop + 16 + extra % hop, M))
+        whole = stft(x, cfg).values
+        for a, b in chunk_bounds(T, cuts):
+            part = stft(x[a * hop : (b - 1) * hop + 16], cfg).values
+            assert part.tobytes() == np.ascontiguousarray(whole[:, :, a:b]).tobytes()
+
+    def test_frames_past_the_declared_count_rejected(self):
+        cfg = StftConfig(sample_rate=1000, window_len=16, hop=8)
+        acc = OverlapAdd(cfg, 1, 3)
+        istft(Spectrogram(np.ones((9, 1, 2), dtype=complex), cfg), acc)
+        with pytest.raises(ValueError, match="exceed the 3 frames"):
+            istft(Spectrogram(np.ones((9, 1, 2), dtype=complex), cfg), acc)
 
 
 class TestStft:

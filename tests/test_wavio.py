@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poksvd.wavio import WavError, read_wav, write_wav
+from poksvd.wavio import WavError, WavWriter, read_wav, wav_info, write_wav
 
 
 class TestRoundTrip:
@@ -198,3 +198,68 @@ class TestGeneratedLayouts:
         message = "truncated '%s' chunk at byte %d" % (cid.decode(), offset)
         with pytest.raises(WavError, match=message):
             read_wav(path)
+
+    @GENERATED
+    @given(layouts, st.data())
+    def test_frame_ranges_read_back_exactly(self, tmp_path_factory, layout, data):
+        blob, expected, _ = wav_layout(*layout)
+        path = tmp_path_factory.mktemp("wav") / "x.wav"
+        path.write_bytes(blob)
+        info = wav_info(path)
+        assert (info.frames, info.channels, info.rate) == (expected.shape[0], expected.shape[1], 8000)
+        start = data.draw(st.integers(0, info.frames))
+        stop = data.draw(st.integers(start, info.frames))
+        samples, rate = read_wav(info, start, stop)
+        assert rate == 8000
+        assert samples.tobytes() == expected[start:stop].tobytes()
+
+
+class TestPieces:
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    @pytest.mark.parametrize("cuts", [[], [0, 0], [1], [7, 8, 20], [39]])
+    def test_appended_pieces_give_the_bytes_of_one_write(self, tmp_path, fmt, cuts):
+        x = np.random.default_rng(6).uniform(-1.2, 1.2, size=(40, 2))
+        write_wav(tmp_path / "whole.wav", x, 8000, fmt)
+        edges = [0] + cuts + [40]
+        with WavWriter(tmp_path / "pieces.wav", 40, 2, 8000, fmt) as out:
+            for a, b in zip(edges, edges[1:]):
+                write_wav(out, x[a:b], 8000, fmt)
+        assert (tmp_path / "pieces.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+    def test_file_over_4_gib_rejected_before_writing(self, tmp_path):
+        frames = (2**32 - 36) // 8 + 1  # one stereo float32 frame too many
+        with pytest.raises(ValueError, match="exceed the 4 GiB of a WAV file"):
+            WavWriter(tmp_path / "big.wav", frames, 2, 8000)
+        assert list(tmp_path.iterdir()) == []
+        WavWriter(tmp_path / "big.wav", frames - 1, 2, 8000).discard()
+
+    def test_out_of_range_read_rejected(self, tmp_path):
+        write_wav(tmp_path / "a.wav", np.zeros((10, 2)), 8000)
+        info = wav_info(tmp_path / "a.wav")
+        for start, stop in ((0, 11), (5, 4), (-1, 3)):
+            with pytest.raises(ValueError, match="outside the 10"):
+                read_wav(info, start, stop)
+
+    def test_file_cut_after_parsing_is_a_wav_error(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, np.zeros((10, 2)), 8000)
+        info = wav_info(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(WavError, match="ends before frame 10"):
+            read_wav(info, 8, 10)
+
+    @pytest.mark.parametrize("failure", ["short", "raise", "too many", "wrong rate"])
+    def test_unfinished_file_leaves_nothing_behind(self, tmp_path, failure):
+        path = tmp_path / "a.wav"
+        path.write_bytes(b"old")
+        with pytest.raises((ValueError, RuntimeError)):
+            with WavWriter(path, 10, 1, 8000) as out:
+                write_wav(out, np.zeros(6), 8000)
+                if failure == "raise":
+                    raise RuntimeError("stop")
+                if failure == "too many":
+                    write_wav(out, np.zeros(5), 8000)
+                if failure == "wrong rate":
+                    write_wav(out, np.zeros(4), 16000)
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav"]
