@@ -3,7 +3,7 @@ for multichannel complex spectrograms."""
 
 from .dictio import load_dictionary, save_dictionary
 from .learning import LearningConfig, TrainedModel, init_dictionary, po_ksvd, update_atom
-from .linalg import dominant_singular_triple, least_squares_solve
+from .linalg import dominant_singular_triple
 from .model import (
     CodingBatch,
     CodingResult,
@@ -50,7 +50,6 @@ __all__ = [
     "generate_synthetic",
     "init_dictionary",
     "istft",
-    "least_squares_solve",
     "load_dictionary",
     "normalize_atom",
     "po_ksvd",

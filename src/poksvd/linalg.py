@@ -5,9 +5,7 @@ unit-modulus phase z/|z|, and the dominant singular triple of a complex
 matrix.  ``least_squares_frames`` solves the normal equations of many small
 systems in one LAPACK call, frame-major: frames on the leading axis and the
 rows of each system last and contiguous, the layout of the pursuit's
-refinement kernel.  ``least_squares_solve`` is its view on (rows, cols, T)
-systems; ``einsum`` adds the rows in order whatever the layout, so both give
-the same bits.  A singular system gets a small ridge and is counted in
+refinement kernel.  A singular system gets a small ridge and is counted in
 ``diagnostics.ridge_fallbacks`` (``refine_cap_hits`` counts frames whose
 gain/phase refinement reached its sweep cap).  All are
 deterministic: the power iteration always starts from the same (all-ones)
@@ -66,29 +64,6 @@ class PowerIterationError(RuntimeError):
     def __init__(self, message, last_triple):
         super().__init__(message)
         self.last_triple = last_triple
-
-
-def least_squares_solve(A, y):
-    """Minimize ||y[:, t] - A[:, :, t] x_t||_2 over complex x_t, for every t.
-
-    A view of ``least_squares_frames`` on (rows, cols, T) systems.
-
-    Parameters
-    ----------
-    A : (rows, cols, T) complex ndarray, or (rows, cols) for one system
-    y : (rows, T) complex ndarray, or (rows,) for one system
-
-    Returns
-    -------
-    x : (T, cols) complex ndarray, or (cols,) for one system
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if A.ndim == 2 and y.ndim == 1 and A.shape[0] == y.shape[0]:
-        return least_squares_solve(A[:, :, None], y[:, None])[0]
-    if A.ndim != 3 or y.ndim != 2 or A.shape[0] != y.shape[0] or A.shape[2] != y.shape[1]:
-        raise ValueError("dimension mismatch: A is %s, y is %s" % (A.shape, y.shape))
-    return least_squares_frames(A.transpose(2, 1, 0), y.T)
 
 
 def least_squares_frames(A, y):

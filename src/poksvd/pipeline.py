@@ -147,8 +147,6 @@ def denoise(mixture, D, cfg=None, mask=False, floor_quantile=0.1):
     """
     cfg = cfg or PursuitConfig()
     Y = mixture.frame_matrix()
-    if Y.shape[0] != D.channels * D.bins:
-        raise ValueError("mixture shape does not match the dictionary")
     noise = Y - po_omp_batch(Y, D, cfg).residual
     target = Y - noise
     target_spec = Spectrogram.from_frame_matrix(target, mixture.channels, mixture.config)

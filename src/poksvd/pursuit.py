@@ -62,19 +62,16 @@ def select_best_atom(residual, D, excluded=frozenset(), cfg=None):
     unit-norm atoms; the literal alternative |sum_f b/|b|| is available via
     ``cfg.selection_rule``.  A zero best score means the residual is
     orthogonal to every candidate; the caller treats gain 0 as a stop.
-    One-frame view of the batched scoring in ``po_omp_batch``.
+    Indices in ``excluded`` outside [0, K) are ignored.  One-frame view of
+    the selection step of ``po_omp_batch``.
     """
     cfg = cfg or PursuitConfig()
     R3 = np.asarray(residual, dtype=np.complex128).reshape(D.bins, D.channels, 1)
-    blocks = D.blocks()
-    scores, total = _batch_scores(R3, blocks, cfg)
     mask = np.isin(np.arange(D.num_atoms), list(excluded))
     if mask.all():
         raise ValueError("no candidate atoms left")
-    scores = np.where(mask, -1.0, scores[:, 0])
-    k = int(np.argmax(scores))  # argmax breaks ties by lowest index
-    gain = float(max(scores[k], 0.0))
-    return k, gain, _selected_columns(R3, blocks, np.array([k]), total, cfg)[:, 0]
+    k, gain, column = _select(R3, D.blocks(), np.flatnonzero(mask)[:, None], cfg)
+    return int(k[0]), float(gain[0]), column[:, 0]
 
 
 def refine_support(y, D, support, columns, cfg):
@@ -217,6 +214,18 @@ def _update_phase(R3, dk, c, g, dk_sq, energy, slack):
     np.copyto(energy, e_new, where=accept)
 
 
+def _select(R3, blocks, taken, cfg):
+    """One greedy selection for every frame of the residuals R3 (F, M, T).
+    The atoms ``taken``, indices (n, T) or (n, 1), score -1; ties go to the
+    lowest index.  Returns the chosen atoms (T,), their scores (T,), which
+    are their gains, and their initial phase columns (F, T)."""
+    scores, total = _batch_scores(R3, blocks, cfg)
+    frames = np.arange(R3.shape[2])
+    scores[taken, frames] = -1.0
+    k_sel = np.argmax(scores, axis=0)
+    return k_sel, scores[k_sel, frames], _selected_columns(R3, blocks, k_sel, total, cfg)
+
+
 def _selected_columns(R3, blocks, k_sel, total, cfg):
     """Initial (F, T) phase columns of the atoms ``k_sel`` chosen by
     ``_batch_scores`` for the residuals R3 (F, M, T): the phases of the
@@ -278,7 +287,8 @@ def po_omp_batch(Y, D, cfg=None):
     Y = np.asarray(Y, dtype=np.complex128)
     mf = D.channels * D.bins
     if Y.ndim != 2 or Y.shape[0] != mf:
-        raise ValueError("frame matrix must be (M*F, T) with M*F = %d" % mf)
+        raise ValueError("frame matrix of shape %s does not match (M*F, T) with M*F = %d"
+                         % (Y.shape, mf))
     if not np.isfinite(Y).all():
         raise ValueError("frame matrix has non-finite entries")
     batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
@@ -342,24 +352,20 @@ def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
     T = Y.shape[1]
     norms = np.linalg.norm(R, axis=0)
     greedy = np.ones(T, dtype=bool)
-    frames = np.arange(T)
 
     for i in range(cfg.s_max):
         active = greedy & (norms > cfg.tau)
         if not active.any():
             break
-        R3 = R.reshape(F, M, T)  # a view of the batch's residuals
-        scores, total = _batch_scores(R3, blocks, cfg)
-        scores[supp[:i], frames] = -1.0
-        k_sel = np.argmax(scores, axis=0)
-        g_sel = scores[k_sel, frames]
+        k_sel, g_sel, cols_sel = _select(R.reshape(F, M, T), blocks, supp[:i], cfg)
         grow = active & (g_sel > 0)
         greedy &= grow  # zero best score ends that frame's pursuit
         if not grow.any():
             break
 
         supp[i] = k_sel
-        cols[:, i] = _selected_columns(R3, blocks, k_sel, total, cfg)
+        cols[:, i] = cols_sel
+        del cols_sel  # not live through the refinement, whose peak it would raise
         supp_len[grow] = i + 1
 
         # views, not copies, when every frame grows: the kernel copies its inputs

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,7 @@ import pytest
 HERE = Path(__file__).resolve().parent
 RECORD = HERE / "digests.json"
 SRC = HERE.parent / "src"
+DEMOS = HERE.parent / "demos"
 MODES = {"phase": True, "classic": False}
 
 
@@ -141,10 +143,20 @@ def cli_items(tmp):
             yield "cli/" + path.name, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def demo_items():
+    # 02_dictionary_learning.py takes 15 s, past this check's budget, and is left out
+    for name in ("01_sparse_coding.py", "03_denoising.py"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(DEMOS / name), run_name="__main__")
+        yield "demos/" + name, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def compute():
     with tempfile.TemporaryDirectory() as tmp:
         items = dict(library_items())
         items.update(cli_items(Path(tmp)))
+        items.update(demo_items())
     return {"versions": build_versions(), "digests": items}
 
 

@@ -233,6 +233,17 @@ class TestPoKsvd:
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * trace[0]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="update_pass gives every unused atom Y[:, argmax ||residual||], and the "
+                              "residual does not change between two replacements")
+    def test_unused_atoms_get_distinct_replacements(self):
+        # three planted atoms and a 12-atom learner: the first coding pass
+        # leaves two atoms unused, and one update pass replaces both
+        spg, _ = generate_synthetic(SyntheticSpec(2, 8, 200, 3, 1, seed=3))
+        cfg = LearningConfig(num_atoms=12, max_outer_iters=1, dedupe_coherence=0.0)
+        atoms = po_ksvd(spg.frame_matrix(), 2, cfg).dictionary.atoms
+        assert len({atoms[:, k].tobytes() for k in range(12)}) == 12
+
     def test_deterministic_given_seed(self):
         Y, _ = self.small_problem(seed=3)
         cfg = LearningConfig(num_atoms=4, pursuit=PursuitConfig(s_max=2),

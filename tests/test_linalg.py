@@ -12,7 +12,7 @@ from poksvd.linalg import (
     _normal_equations,
     diagnostics,
     dominant_singular_triple,
-    least_squares_solve,
+    least_squares_frames,
     unit_phase,
 )
 
@@ -45,70 +45,66 @@ class TestDiagnostics:
 
 
 class TestLeastSquaresSolve:
+    # least_squares_frames is frame-major: A[t] holds system t's columns as
+    # rows, so system t is A[t].T x = y[t]
     def test_matches_lstsq_on_random_systems(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            A = random_complex(rng, 12, 4)
-            y = random_complex(rng, 12)
-            x = least_squares_solve(A, y)
-            x_ref, *_ = np.linalg.lstsq(A, y, rcond=None)
-            assert np.allclose(x, x_ref, atol=1e-10)
+        A = random_complex(rng, 20, 4, 12)
+        y = random_complex(rng, 20, 12)
+        x = least_squares_frames(A, y)
+        for t in range(20):
+            x_ref, *_ = np.linalg.lstsq(A[t].T, y[t], rcond=None)
+            assert np.allclose(x[t], x_ref, atol=1e-10)
 
     def test_exact_on_square_system(self):
         rng = np.random.default_rng(1)
-        A = random_complex(rng, 5, 5)
+        A = random_complex(rng, 1, 5, 5)
         x_true = random_complex(rng, 5)
-        x = least_squares_solve(A, A @ x_true)
-        assert np.allclose(x, x_true, atol=1e-9)
+        x = least_squares_frames(A, (A[0].T @ x_true)[None])
+        assert np.allclose(x[0], x_true, atol=1e-9)
 
     def test_residual_orthogonal_to_columns(self):
         rng = np.random.default_rng(2)
-        A = random_complex(rng, 10, 3)
-        y = random_complex(rng, 10)
-        r = y - A @ least_squares_solve(A, y)
-        assert np.allclose(A.conj().T @ r, 0, atol=1e-10)
+        A = random_complex(rng, 1, 3, 10)
+        y = random_complex(rng, 1, 10)
+        r = y[0] - A[0].T @ least_squares_frames(A, y)[0]
+        assert np.allclose(A[0].conj() @ r, 0, atol=1e-10)
 
     def test_singular_system_falls_back_to_ridge(self):
         rng = np.random.default_rng(3)
         col = random_complex(rng, 8)
-        A = np.stack([col, np.zeros(8, dtype=complex)], axis=1)  # singular Gram
-        y = random_complex(rng, 8)
+        A = np.stack([col, np.zeros(8, dtype=complex)])[None]  # singular Gram
+        y = random_complex(rng, 1, 8)
         diagnostics.reset()
-        x = least_squares_solve(A, y)
+        x = least_squares_frames(A, y)[0]
         assert np.all(np.isfinite(x))
         assert diagnostics.ridge_fallbacks == 1
         # the ridge solution still (nearly) minimizes the residual
-        r = np.linalg.norm(y - A @ x)
-        r_ref = np.linalg.norm(y - A @ np.linalg.lstsq(A, y, rcond=None)[0])
+        r = np.linalg.norm(y[0] - A[0].T @ x)
+        r_ref = np.linalg.norm(y[0] - A[0].T @ np.linalg.lstsq(A[0].T, y[0], rcond=None)[0])
         assert r <= r_ref + 1e-6
 
     def test_batch_matches_one_system_solves(self):
         rng = np.random.default_rng(8)
-        A = random_complex(rng, 6, 3, 5)
-        y = random_complex(rng, 6, 5)
-        x = least_squares_solve(A, y)
+        A = random_complex(rng, 5, 3, 6)
+        y = random_complex(rng, 5, 6)
+        x = least_squares_frames(A, y)
         assert x.shape == (5, 3)
         for t in range(5):
-            assert x[t].tobytes() == least_squares_solve(A[:, :, t], y[:, t]).tobytes()
+            assert x[t].tobytes() == least_squares_frames(A[t : t + 1], y[t : t + 1])[0].tobytes()
 
     def test_singular_system_in_batch_leaves_the_others_alone(self):
         rng = np.random.default_rng(9)
-        A = random_complex(rng, 6, 2, 4)
-        A[:, 1, 2] = 0  # system 2 alone has a singular Gram
-        y = random_complex(rng, 6, 4)
+        A = random_complex(rng, 4, 2, 6)
+        A[2, 1] = 0  # system 2 alone has a singular Gram
+        y = random_complex(rng, 4, 6)
         diagnostics.reset()
-        x = least_squares_solve(A, y)
+        x = least_squares_frames(A, y)
         assert diagnostics.ridge_fallbacks == 1
         assert np.all(np.isfinite(x))
         for t in (0, 1, 3):
-            assert x[t].tobytes() == least_squares_solve(A[:, :, t], y[:, t]).tobytes()
+            assert x[t].tobytes() == least_squares_frames(A[t : t + 1], y[t : t + 1])[0].tobytes()
         assert diagnostics.ridge_fallbacks == 1
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            least_squares_solve(np.eye(3), np.ones(4))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            least_squares_solve(np.ones((3, 2, 4)), np.ones((3, 5)))
 
 
 def adversarial_complex(rng, shape, zeros=0.2):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import subprocess
@@ -184,6 +185,29 @@ class TestScoring:
         for t in range(T):
             _, gain, _ = select_best_atom(Y[:, t], D, cfg=cfg)
             assert np.float64(gain).tobytes() == scores[0, t].tobytes()
+
+
+class TestSelectionIsThePursuitsStep:
+    # select_best_atom(r, D, excluded) on the residual a pursuit has after i
+    # steps, its i atoms excluded, picks the pursuit's next atom; indices
+    # outside [0, K), negative ones included, are ignored
+    @settings(GENERATED, max_examples=100)
+    @given(any_problems, st.sampled_from(sorted(SCORING)),
+           st.lists(st.integers(1, 8), max_size=3), st.lists(st.integers(0, 8), max_size=3))
+    def test_select_best_atom_picks_the_batch_atom(self, problem, mode, below, above):
+        cfg, _ = SCORING[mode]
+        D, Y, _ = generated(problem)
+        ignored = {-n for n in below} | {D.num_atoms + n for n in above}
+        before = None  # the pursuit after i steps; i = 0 is the input itself
+        for i in range(problem[4]):
+            after = po_omp_batch(Y, D, dataclasses.replace(cfg, s_max=i + 1))
+            for t in range(Y.shape[1]):
+                if after.lengths[t] <= i:  # this frame stopped before step i
+                    continue
+                r, taken = (Y[:, t], []) if before is None else (before.residual[:, t], before.support[:i, t])
+                k, _, _ = select_best_atom(r, D, set(taken) | ignored, cfg)
+                assert k == after.support[i, t]
+            before = after
 
 
 class TestRefineSupport:
