@@ -179,10 +179,6 @@ def cmd_code(args):
         if given:
             raise ValueError("%s do not apply to a .npy frame file" % ", ".join(given))
         frames = np.load(args.input)
-        if frames.ndim != 2 or frames.shape[0] != D.channels * D.bins:
-            raise ValueError(
-                "frame file must be (M*F, T) with M*F = %d" % (D.channels * D.bins)
-            )
     else:
         frames = _analysis(args, D, prov).frame_matrix()
     records = "".join(

@@ -171,6 +171,15 @@ def po_ksvd(Y, channels, cfg, progress=None):
             D.blocks()[:, :, k, None], state.gains[frames, slots], state.columns[:, slots, frames]
         )
 
+    def take_worst_frame(k):
+        """Set atom k to the frame of largest residual norm, in its mode's
+        gauge; returns False, leaving the atom, when that frame is zero."""
+        worst = int(np.argmax(np.linalg.norm(state.residual, axis=0)))
+        if np.linalg.norm(Y[:, worst]) == 0:
+            return False
+        D.atoms[:, k] = normalize_atom(Y[:, worst], channels, phase_opt)[0]
+        return True
+
     def coding_pass():
         new = po_omp_batch(Y, D, cfg.pursuit)
         take = ~(np.linalg.norm(new.residual, axis=0) > np.linalg.norm(state.residual, axis=0))
@@ -185,10 +194,7 @@ def po_ksvd(Y, channels, cfg, progress=None):
         for k in range(K):
             frames, slots = frames_using(k)
             if frames.size == 0:
-                worst = int(np.argmax(np.linalg.norm(state.residual, axis=0)))
-                if np.linalg.norm(Y[:, worst]) > 0:
-                    D.atoms[:, k] = normalize_atom(Y[:, worst], channels, phase_opt)[0]
-                    replaced += 1
+                replaced += take_worst_frame(k)
                 continue
             # E_k restricted = residual plus atom k's current contribution
             E_sub = state.residual[:, frames] + contribution(k, frames, slots)
@@ -213,7 +219,6 @@ def po_ksvd(Y, channels, cfg, progress=None):
         X = np.zeros((K, T))
         X[state.support[slots, frames], frames] = state.gains[frames, slots]
         usage = np.cumsum(X**2, axis=1)[:, -1]  # left-to-right sum over frames
-        frame_err = np.linalg.norm(state.residual, axis=0)
         replaced = 0
         done = set()
         for j in range(K):
@@ -221,11 +226,11 @@ def po_ksvd(Y, channels, cfg, progress=None):
                 if G[j, k] <= cfg.dedupe_coherence or j in done or k in done:
                     continue
                 drop = k if usage[k] <= usage[j] else j
-                worst = int(np.argmax(frame_err))
-                if np.linalg.norm(Y[:, worst]) == 0:
-                    continue
                 frames, slots = frames_using(drop)
-                state.residual[:, frames] += contribution(drop, frames, slots)
+                added = contribution(drop, frames, slots)  # before the atom is overwritten
+                if not take_worst_frame(drop):
+                    continue
+                state.residual[:, frames] += added
                 # close the gap left in each frame's support
                 keep = np.ones(state.support.shape, dtype=bool)
                 keep[slots, frames] = False
@@ -234,8 +239,6 @@ def po_ksvd(Y, channels, cfg, progress=None):
                 state.gains[:] = np.take_along_axis(state.gains, order.T, axis=1)
                 state.columns[:] = np.take_along_axis(state.columns, order[None], axis=1)
                 state.lengths[frames] -= 1
-                D.atoms[:, drop] = normalize_atom(Y[:, worst], channels, phase_opt)[0]
-                frame_err = np.linalg.norm(state.residual, axis=0)
                 done.update((j, k))
                 replaced += 1
         return replaced

@@ -133,7 +133,7 @@ def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
     Raises
     ------
     ValueError
-        If A is the zero matrix.
+        If A is the zero matrix or has a non-finite entry.
     PowerIterationError
         If the iteration has not converged after ``max_iter`` sweeps; the
         exception carries the last triple.
@@ -143,6 +143,8 @@ def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
         raise ValueError("expected a matrix, got ndim=%d" % A.ndim)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     norm_A = np.linalg.norm(A)
     if norm_A == 0.0:
         raise ValueError("zero matrix")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .linalg import unit_phase
 from .model import CodingBatch, Dictionary, normalize_atom, reconstruct
-from .pursuit import PursuitConfig, po_omp_batch
+from .pursuit import po_omp_batch
 from .stft import Spectrogram
 
 SDR_CAP_DB = 100.0
@@ -145,7 +145,6 @@ def denoise(mixture, D, cfg=None, mask=False, floor_quantile=0.1):
     Returns (target, noise_estimate) spectrograms with
     target + noise_estimate == mixture entry-wise (before masking).
     """
-    cfg = cfg or PursuitConfig()
     Y = mixture.frame_matrix()
     noise = Y - po_omp_batch(Y, D, cfg).residual
     target = Y - noise

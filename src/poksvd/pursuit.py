@@ -66,7 +66,7 @@ def select_best_atom(residual, D, excluded=frozenset(), cfg=None):
     the selection step of ``po_omp_batch``.
     """
     cfg = cfg or PursuitConfig()
-    R3 = np.asarray(residual, dtype=np.complex128).reshape(D.bins, D.channels, 1)
+    R3 = _frame_matrix(np.asarray(residual)[..., None], D).reshape(D.bins, D.channels, 1)
     mask = np.isin(np.arange(D.num_atoms), list(excluded))
     if mask.all():
         raise ValueError("no candidate atoms left")
@@ -84,10 +84,10 @@ def refine_support(y, D, support, columns, cfg):
     """
     if not support:
         raise ValueError("empty support")
-    y = np.asarray(y, dtype=np.complex128)[:, None]
+    y = _frame_matrix(np.asarray(y)[..., None], D)
     supp = np.array(support)[:, None]
     cols = np.stack(columns, axis=1).astype(np.complex128)[:, :, None]
-    gains, cols, r = _batch_refine(y, D.blocks().transpose(2, 0, 1), supp, cols, cfg)
+    gains, cols, r = _batch_refine(y, D.blocks(), supp, cols, cfg)
     return gains[0], list(cols[:, :, 0].T), r[:, 0]
 
 
@@ -117,10 +117,10 @@ def _batch_scores(R3, blocks, cfg):
     return np.abs(total), total
 
 
-def _batch_refine(Y, atoms, supp, cols, cfg):
+def _batch_refine(Y, blocks, supp, cols, cfg):
     """Lockstep gain/phase alternation for every frame of the batch.
 
-    Y (MF, T), atoms (K, F, M), supp (s, T), cols (F, s, T).  Returns new
+    Y (MF, T), blocks (F, M, K), supp (s, T), cols (F, s, T).  Returns new
     arrays (gains (T, s), cols (F, s, T), R (MF, T)); a frame stops
     sweeping once its residual norm reaches the floor or stalls, or at the
     sweep cap.
@@ -134,7 +134,7 @@ def _batch_refine(Y, atoms, supp, cols, cfg):
     time: the entry copies of Y and cols double as the outputs, since a
     frame's rows are read only until it leaves.
     """
-    _, F, M = atoms.shape
+    F, M, _ = blocks.shape
     s, T = supp.shape
     norms_y = np.linalg.norm(Y, axis=0)
     floor = np.maximum(cfg.tau, 1e-14 * norms_y)
@@ -142,7 +142,7 @@ def _batch_refine(Y, atoms, supp, cols, cfg):
     y = np.array(Y.T, order="C")  # (T, MF)
     cw = np.array(cols.transpose(2, 1, 0), order="C")  # (T, s, F)
     R_out, cols_out, gains = y, cw, np.zeros((T, s))  # as given if no sweep runs
-    bg = atoms[supp.T]  # (T, s, F, M)
+    bg = blocks.transpose(2, 0, 1)[supp.T]  # (T, s, F, M), C-contiguous
     bin_sq = np.empty((T, s, F))
     for j in range(s):
         bin_sq[:, j] = np.einsum("tfm,tfm->tf", bg[:, j].conj(), bg[:, j]).real
@@ -284,6 +284,26 @@ def po_omp_batch(Y, D, cfg=None):
     on the calling thread alone.
     """
     cfg = cfg or PursuitConfig()
+    Y = _frame_matrix(Y, D)
+    batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
+    blocks = D.blocks()
+    workers = _worker_count()
+    spans = _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms, workers))
+
+    def code(a, b):
+        _code_block(
+            Y[:, a:b], blocks, cfg, batch.support[:, a:b], batch.lengths[a:b],
+            batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
+        )
+
+    _share_out(code, spans, min(workers, len(spans)) - 1)
+    return batch
+
+
+def _frame_matrix(Y, D):
+    """Y as a complex128 (M*F, T) frame matrix for the dictionary D; raises
+    ValueError on any other shape or on a non-finite entry.  Every pursuit
+    entry passes its frames through here, one frame as an (M*F, 1) matrix."""
     Y = np.asarray(Y, dtype=np.complex128)
     mf = D.channels * D.bins
     if Y.ndim != 2 or Y.shape[0] != mf:
@@ -291,20 +311,7 @@ def po_omp_batch(Y, D, cfg=None):
                          % (Y.shape, mf))
     if not np.isfinite(Y).all():
         raise ValueError("frame matrix has non-finite entries")
-    batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
-    blocks = D.blocks()
-    atoms = np.ascontiguousarray(blocks.transpose(2, 0, 1))  # (K, F, M) for the refinement
-    workers = _worker_count()
-    spans = _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms, workers))
-
-    def code(a, b):
-        _code_block(
-            Y[:, a:b], blocks, atoms, cfg, batch.support[:, a:b], batch.lengths[a:b],
-            batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
-        )
-
-    _share_out(code, spans, min(workers, len(spans)) - 1)
-    return batch
+    return Y
 
 
 def _share_out(code, spans, helpers):
@@ -343,11 +350,10 @@ def _share_out(code, spans, helpers):
         raise errors[0]
 
 
-def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
-    """Greedy PO-OMP on the frames Y (MF, T), writing into views of one
-    CodingBatch's arrays; R holds Y on entry.  blocks are the dictionary's
-    (F, M, K) blocks for the scoring, atoms the same as (K, F, M) for the
-    refinement."""
+def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):
+    """Greedy PO-OMP on the frames Y (MF, T) against the dictionary's
+    (F, M, K) blocks, writing into views of one CodingBatch's arrays; R
+    holds Y on entry."""
     F, M, _ = blocks.shape
     T = Y.shape[1]
     norms = np.linalg.norm(R, axis=0)
@@ -371,7 +377,7 @@ def _code_block(Y, blocks, atoms, cfg, supp, supp_len, gains, cols, R):
         # views, not copies, when every frame grows: the kernel copies its inputs
         sel = slice(None) if grow.all() else grow
         gains[sel, : i + 1], cols[:, : i + 1, sel], R[:, sel] = _batch_refine(
-            Y[:, sel], atoms, supp[: i + 1, sel], cols[:, : i + 1, sel], cfg
+            Y[:, sel], blocks, supp[: i + 1, sel], cols[:, : i + 1, sel], cfg
         )
         norms = np.linalg.norm(R, axis=0)
 
@@ -383,11 +389,4 @@ def po_omp(y, D, cfg=None):
     append it, refine all gains and phases; stop at s_max atoms, when
     ||r||_2 <= tau, or when the residual is orthogonal to every atom.
     """
-    cfg = cfg or PursuitConfig()
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (D.channels * D.bins,):
-        raise ValueError(
-            "frame length %d does not match dictionary M*F = %d"
-            % (y.size, D.channels * D.bins)
-        )
-    return po_omp_batch(y[:, None], D, cfg)[0]
+    return po_omp_batch(np.asarray(y)[..., None], D, cfg)[0]

@@ -3,6 +3,7 @@ compared item by item with the committed ``tests/digests.json``.
 
     python tests/test_digests.py             # print this build's digests as JSON
     python tests/test_digests.py --one-cpu   # the same, run on one CPU
+    python tests/test_digests.py --slow      # only the items of SLOW_DEMOS
     python tests/test_digests.py --record    # rewrite tests/digests.json
 
 The set runs in a fresh interpreter with one OpenBLAS thread, once on one
@@ -10,8 +11,10 @@ CPU, where ``po_omp_batch`` codes every column block on the calling thread,
 and once on all the CPUs the process may use, where the multi-block problem
 shares its blocks out among threads.  Digests belong to the numpy/OpenBLAS
 build that recorded them; on another build the test skips and names both
-builds.  A change that moves output bits on purpose re-records the file and
-names the items it changed.
+builds.  The demos of SLOW_DEMOS take longer than the rest of the set
+together, so their items are checked by a test of their own that runs once,
+on all CPUs.  A change that moves output bits on purpose re-records the file
+and names the items it changed.
 """
 
 import contextlib
@@ -33,6 +36,8 @@ RECORD = HERE / "digests.json"
 SRC = HERE.parent / "src"
 DEMOS = HERE.parent / "demos"
 MODES = {"phase": True, "classic": False}
+FAST_DEMOS = ("01_sparse_coding.py", "03_denoising.py")
+SLOW_DEMOS = ("02_dictionary_learning.py",)  # 13-15 s, past the shared check's 10 s budget
 
 
 def build_versions():
@@ -143,21 +148,23 @@ def cli_items(tmp):
             yield "cli/" + path.name, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def demo_items():
-    # 02_dictionary_learning.py takes 15 s, past this check's budget, and is left out
-    for name in ("01_sparse_coding.py", "03_denoising.py"):
+def demo_items(names):
+    for name in names:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             runpy.run_path(str(DEMOS / name), run_name="__main__")
         yield "demos/" + name, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def compute():
+def compute(slow):
+    """The items of SLOW_DEMOS when ``slow``, else every other item."""
+    if slow:
+        return dict(demo_items(SLOW_DEMOS))
     with tempfile.TemporaryDirectory() as tmp:
         items = dict(library_items())
         items.update(cli_items(Path(tmp)))
-        items.update(demo_items())
-    return {"versions": build_versions(), "digests": items}
+        items.update(demo_items(FAST_DEMOS))
+    return items
 
 
 def check_digests(*flags):
@@ -169,7 +176,8 @@ def check_digests(*flags):
     out = subprocess.run([sys.executable, __file__, *flags], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout)["digests"]
-    want = recorded["digests"]
+    slow = {"demos/" + name for name in SLOW_DEMOS}
+    want = {k: v for k, v in recorded["digests"].items() if (k in slow) == ("--slow" in flags)}
     changed = sorted(k for k in want.keys() | seen.keys() if want.get(k) != seen.get(k))
     assert not changed, "outputs differ from %s: %s" % (RECORD.name, ", ".join(changed))
 
@@ -184,6 +192,10 @@ def test_threaded_outputs_match_recorded_digests():
     check_digests()
 
 
+def test_slow_demo_outputs_match_recorded_digests():
+    check_digests("--slow")
+
+
 if __name__ == "__main__":
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         # OpenBLAS reads its thread count at load time: start again with one
@@ -192,7 +204,12 @@ if __name__ == "__main__":
     if "--one-cpu" in sys.argv[1:]:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(SRC))
-    result = json.dumps(compute(), indent=1, sort_keys=True) + "\n"
+    if "--record" in sys.argv[1:]:
+        digests = {**compute(slow=False), **compute(slow=True)}
+    else:
+        digests = compute(slow="--slow" in sys.argv[1:])
+    result = json.dumps({"versions": build_versions(), "digests": digests},
+                        indent=1, sort_keys=True) + "\n"
     if "--record" in sys.argv[1:]:
         RECORD.write_text(result)
     else:

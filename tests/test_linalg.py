@@ -207,6 +207,14 @@ class TestDominantSingularTriple:
         with pytest.raises(ValueError, match="zero matrix"):
             dominant_singular_triple(np.zeros((4, 3), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_matrix_raises(self, bad):
+        # rejected before the first sweep, not reported as a non-convergence
+        A = random_complex(np.random.default_rng(4), 4, 3)
+        A[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dominant_singular_triple(A)
+
     def test_non_convergence_carries_last_triple(self):
         # two equal singular values never separate; force a tiny budget
         A = np.eye(3, dtype=complex)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from poksvd import pursuit
 from poksvd.linalg import diagnostics, unit_phase
 from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
-from poksvd.pipeline import random_dictionary
+from poksvd.pipeline import denoise, random_dictionary
 from poksvd.pursuit import (
     PursuitConfig,
     _batch_refine,
@@ -24,6 +24,7 @@ from poksvd.pursuit import (
     refine_support,
     select_best_atom,
 )
+from poksvd.stft import Spectrogram
 
 
 def random_complex(rng, *shape):
@@ -379,6 +380,35 @@ class TestBatchConsistency:
             po_omp_batch(Y, D)
 
 
+class TestBadInput:
+    """Every pursuit entry rejects a NaN or Inf entry and a frame of the
+    wrong length with the one frame check's ValueError; frame 0 is the
+    one-frame entries' frame."""
+
+    ENTRIES = {
+        "po_omp_batch": lambda Y, D: po_omp_batch(Y, D),
+        "po_omp": lambda Y, D: po_omp(Y[:, 0], D),
+        "select_best_atom": lambda Y, D: select_best_atom(Y[:, 0], D),
+        "refine_support": lambda Y, D: refine_support(
+            Y[:, 0], D, [0], [np.ones(D.bins, dtype=complex)], PursuitConfig()),
+        "denoise": lambda Y, D: denoise(
+            Spectrogram(values=Y.reshape(-1, D.channels, Y.shape[1])), D),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), "one bin more"])
+    @settings(GENERATED, max_examples=10)
+    @given(any_problems, st.integers(0, 2**16))
+    def test_rejected_at_every_entry(self, entry, bad, problem, row):
+        D, Y, _ = generated(problem)
+        if bad == "one bin more":
+            Y, match = np.vstack([Y, Y[: D.channels]]), "does not match"
+        else:
+            Y[row % Y.shape[0], 0], match = bad, "non-finite"
+        with pytest.raises(ValueError, match=match):
+            self.ENTRIES[entry](Y, D)
+
+
 class TestGeneratedBatches:
     def test_singular_support_independent_of_batch(self):
         # M * F = 1 < s_max = 2: every two-atom Gram is singular, and only
@@ -441,7 +471,7 @@ class TestGeneratedBatches:
         for cap in range(1, 9):
             cfg = PursuitConfig(s_max=s, tau=0, epsilon=1e-12, max_refine_iters=cap,
                                 phase_optimization=phase_optimization)
-            _, _, R = _batch_refine(Y, D.blocks().transpose(2, 0, 1), supp, cols, cfg)
+            _, _, R = _batch_refine(Y, D.blocks(), supp, cols, cfg)
             norms = np.linalg.norm(R, axis=0)
             assert np.all(norms <= prev + slack)
             prev = norms
@@ -544,12 +574,12 @@ class TestWorkingSet:
 
     def test_refinement_holds_one_copy_of_each_array(self):
         D, Y, rng = self.problem()
-        atoms = np.ascontiguousarray(D.blocks().transpose(2, 0, 1))
+        blocks = D.blocks()
         supp = np.array([rng.permutation(self.K)[: self.s] for _ in range(self.W)]).T
         cols = np.exp(2j * np.pi * rng.uniform(size=(self.F, self.s, self.W)))
         U = 16 * self.s * self.F * self.M * self.W  # bytes of the (W, s, F, M) support blocks
         cfg = PursuitConfig(s_max=self.s)
-        assert traced_peak(lambda: _batch_refine(Y, atoms, supp, cols, cfg)) <= 7 * U
+        assert traced_peak(lambda: _batch_refine(Y, blocks, supp, cols, cfg)) <= 7 * U
 
     @pytest.mark.parametrize("cfg, mib", [
         (PursuitConfig(), 4),
