@@ -18,6 +18,7 @@ from poksvd import (
     PursuitConfig,
     Spectrogram,
     SyntheticSpec,
+    apply_mask,
     denoise,
     evaluate,
     generate_synthetic,
@@ -58,7 +59,7 @@ for label, po in (("phase-optimized", True), ("phase-blind", False)):
     model = po_ksvd(train.frame_matrix(), 2, cfg)
 
     plain, noise_est = denoise(mix, model.dictionary, pcfg)
-    masked, _ = denoise(mix, model.dictionary, pcfg, mask=True, floor_quantile=0.1)
+    masked = apply_mask(plain, noise_est, floor_quantile=0.1)
 
     noise_ref = Spectrogram.from_frame_matrix(N, 2)
     rep_plain = evaluate(target_ref, plain, noise_reference=noise_ref)

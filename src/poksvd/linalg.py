@@ -8,8 +8,8 @@ rows of each system last and contiguous, the layout of the pursuit's
 refinement kernel.  A singular system gets a small ridge and is counted in
 ``diagnostics.ridge_fallbacks`` (``refine_cap_hits`` counts frames whose
 gain/phase refinement reached its sweep cap).  All are
-deterministic: the power iteration always starts from the same (all-ones)
-vector.
+deterministic: the power iteration always starts from the same vector,
+all-ones or, when that is in the matrix's null space, its largest column's.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class SingularTriple:
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when the power iteration fails to converge; carries the last
-    iterate so callers can inspect or reuse it."""
+    """Raised when the power iteration fails to converge; carries the triple
+    of the last iterate so callers can inspect or reuse it."""
 
     def __init__(self, message, last_triple):
         super().__init__(message)
@@ -127,8 +127,10 @@ def unit_phase(z, fallback=1.0):
 def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
     """Largest singular value of A with its singular vectors.
 
-    Power iteration on A^H A from a fixed all-ones start vector, so repeated
-    calls on the same matrix are bitwise identical.
+    Power iteration on A^H A from a fixed all-ones start vector (the unit
+    vector of A's largest column when all-ones is in A's null space), so
+    repeated calls on the same matrix are bitwise identical.  Both exits
+    build the triple from u = A v: sigma = ||u|| and left = u / sigma.
 
     Raises
     ------
@@ -136,7 +138,7 @@ def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
         If A is the zero matrix or has a non-finite entry.
     PowerIterationError
         If the iteration has not converged after ``max_iter`` sweeps; the
-        exception carries the last triple.
+        exception carries the triple of the last iterate.
     """
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
@@ -145,43 +147,33 @@ def dominant_singular_triple(A, tol=1e-12, max_iter=5000):
         raise ValueError("tol must be positive")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
-    norm_A = np.linalg.norm(A)
-    if norm_A == 0.0:
+    if np.linalg.norm(A) == 0.0:
         raise ValueError("zero matrix")
 
     G = A.conj().T @ A
     n = G.shape[0]
     v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
     w = G @ v
-    sigma2 = 0.0
+    if np.linalg.norm(w) == 0.0:
+        # the start vector is in the null space; restart on A's largest
+        # column, which is not, and every later iterate lies in G's range
+        v = np.zeros(n, dtype=np.complex128)
+        v[np.argmax(np.linalg.norm(A, axis=0))] = 1.0
+        w = G @ v
+    converged = False
     for _ in range(max_iter):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector in the null space; deterministic restart on e_1
-            v = np.zeros(n, dtype=np.complex128)
-            v[0] = 1.0
-            w = G @ v
-            continue
-        v = w / nw
+        v = w / np.linalg.norm(w)
         w = G @ v
         sigma2 = np.real(np.vdot(v, w))
         # residual of the eigen-equation decides convergence
-        resid = np.linalg.norm(w - sigma2 * v)
-        if resid <= tol * max(sigma2, np.finfo(float).tiny):
+        converged = np.linalg.norm(w - sigma2 * v) <= tol * max(sigma2, np.finfo(float).tiny)
+        if converged:
             break
-    else:
-        sigma = np.sqrt(max(sigma2, 0.0))
-        u = A @ v
-        nu = np.linalg.norm(u)
-        u = u / nu if nu > 0 else u
-        raise PowerIterationError(
-            "power iteration did not converge in %d iterations" % max_iter,
-            SingularTriple(sigma=float(sigma), left=u, right=v),
-        )
-
     u = A @ v
-    nu = np.linalg.norm(u)
-    if nu > 0:
-        u = u / nu
-    sigma = float(np.linalg.norm(A @ v))
-    return SingularTriple(sigma=sigma, left=u, right=v)
+    sigma = float(np.linalg.norm(u))
+    triple = SingularTriple(sigma=sigma, left=u / sigma if sigma > 0 else u, right=v)
+    if not converged:
+        raise PowerIterationError(
+            "power iteration did not converge in %d iterations" % max_iter, triple
+        )
+    return triple

@@ -14,6 +14,9 @@ from .pursuit import po_omp_batch
 from .stft import Spectrogram
 
 SDR_CAP_DB = 100.0
+# _decorrelate's repulsion step and sweep budget
+DECORRELATE_STEP = 0.25
+DECORRELATE_SWEEPS = 500
 
 
 @dataclass
@@ -42,14 +45,11 @@ class SyntheticSpec:
 class EvalReport:
     sdr_db: float
     sir_db: float | None = None
-    frame_residual_norms: np.ndarray | None = None
 
     def as_dict(self):
         out = {"sdr_db": self.sdr_db}
         if self.sir_db is not None:
             out["sir_db"] = self.sir_db
-        if self.frame_residual_norms is not None:
-            out["frame_residual_norms"] = [float(v) for v in self.frame_residual_norms]
         return out
 
 
@@ -57,10 +57,10 @@ def dictionary_coherence(D):
     """max_{j != k} sum_f |<d_fj | d_fk>|, the phase-invariant atom overlap."""
     G = D.overlap()
     np.fill_diagonal(G, 0.0)
-    return float(G.max()) if D.num_atoms > 1 else 0.0
+    return float(G.max())
 
 
-def _decorrelate(atoms, channels, bins, limit, step=0.25, max_sweeps=500):
+def _decorrelate(atoms, channels, bins, limit):
     """Push atom pairs apart until every pairwise coherence is below limit.
 
     Plain Gaussian draws almost never satisfy tight limits (the typical
@@ -69,7 +69,7 @@ def _decorrelate(atoms, channels, bins, limit, step=0.25, max_sweeps=500):
     redrawn wholesale.
     """
     K = atoms.shape[1]
-    for _ in range(max_sweeps):
+    for _ in range(DECORRELATE_SWEEPS):
         blocks = atoms.reshape(bins, channels, K)
         G = np.einsum("fmj,fmk->fjk", blocks.conj(), blocks)
         coh = np.abs(G).sum(axis=0)
@@ -86,8 +86,8 @@ def _decorrelate(atoms, channels, bins, limit, step=0.25, max_sweeps=500):
                 u = unit_phase(G[:, j, k], 0.0)
                 bj = blocks[:, :, j]
                 bk = blocks[:, :, k]
-                updated[:, k] = (updated[:, k].reshape(bins, channels) - step * (u[:, None] * bj)).ravel()
-                updated[:, j] = (updated[:, j].reshape(bins, channels) - step * (u.conj()[:, None] * bk)).ravel()
+                updated[:, k] -= DECORRELATE_STEP * (u[:, None] * bj).ravel()
+                updated[:, j] -= DECORRELATE_STEP * (u.conj()[:, None] * bk).ravel()
         for k in range(K):
             updated[:, k] = normalize_atom(updated[:, k], channels)[0]
         atoms = updated
@@ -139,20 +139,18 @@ def generate_synthetic(spec):
     return spec_out, {"dictionary": D, "codes": [r.code for r in items], "phases": [r.phases for r in items]}
 
 
-def denoise(mixture, D, cfg=None, mask=False, floor_quantile=0.1):
+def denoise(mixture, D, cfg=None):
     """Code each frame against the noise dictionary and keep the residual.
 
     Returns (target, noise_estimate) spectrograms with
-    target + noise_estimate == mixture entry-wise (before masking).
+    target + noise_estimate == mixture entry-wise; ``apply_mask`` then
+    floors the target where the noise estimate dominates.
     """
     Y = mixture.frame_matrix()
     noise = Y - po_omp_batch(Y, D, cfg).residual
     target = Y - noise
-    target_spec = Spectrogram.from_frame_matrix(target, mixture.channels, mixture.config)
-    noise_spec = Spectrogram.from_frame_matrix(noise, mixture.channels, mixture.config)
-    if mask:
-        target_spec = apply_mask(target_spec, noise_spec, floor_quantile)
-    return target_spec, noise_spec
+    return (Spectrogram.from_frame_matrix(target, mixture.channels, mixture.config),
+            Spectrogram.from_frame_matrix(noise, mixture.channels, mixture.config))
 
 
 def apply_mask(target, noise_estimate, floor_quantile=0.1):
@@ -191,7 +189,7 @@ def evaluate(reference_target, estimate, noise_reference=None):
 
     SDR = 10 log10 ||s||^2 / ||s - s_hat||^2, capped at +100 dB;
     SIR compares the energies of the projections of the estimate onto the
-    reference target and the reference noise.
+    reference target and the reference noise, within the same +-100 dB.
     """
     s = _as_flat(reference_target)
     s_hat = _as_flat(estimate)
@@ -201,10 +199,7 @@ def evaluate(reference_target, estimate, noise_reference=None):
     if s_energy == 0:
         raise ValueError("degenerate reference: zero energy")
     err = float(np.vdot(s - s_hat, s - s_hat).real)
-    if err <= s_energy * 10.0 ** (-SDR_CAP_DB / 10.0):
-        sdr = SDR_CAP_DB
-    else:
-        sdr = 10.0 * np.log10(s_energy / err)
+    sdr = _ratio_db(s_energy, err)
 
     sir = None
     if noise_reference is not None:
@@ -218,16 +213,16 @@ def evaluate(reference_target, estimate, noise_reference=None):
         proj_n = np.vdot(n, s_hat) / n_energy * n
         ps = float(np.vdot(proj_s, proj_s).real)
         pn = float(np.vdot(proj_n, proj_n).real)
-        if pn <= ps * 10.0 ** (-SDR_CAP_DB / 10.0):
-            sir = SDR_CAP_DB
-        else:
-            sir = 10.0 * np.log10(ps / pn) if ps > 0 else -SDR_CAP_DB
+        sir = _ratio_db(ps, pn)
+    return EvalReport(sdr_db=sdr, sir_db=sir)
 
-    frame_norms = None
-    if isinstance(reference_target, Spectrogram) and isinstance(estimate, Spectrogram):
-        diff = reference_target.frame_matrix() - estimate.frame_matrix()
-        frame_norms = np.linalg.norm(diff, axis=0)
-    return EvalReport(sdr_db=float(sdr), sir_db=sir, frame_residual_norms=frame_norms)
+
+def _ratio_db(num, den):
+    """10 log10(num / den) in dB, capped at +SDR_CAP_DB, and -SDR_CAP_DB
+    when num is 0 and den is not."""
+    if den <= num * 10.0 ** (-SDR_CAP_DB / 10.0):
+        return SDR_CAP_DB
+    return float(10.0 * np.log10(num / den)) if num > 0 else -SDR_CAP_DB
 
 
 def atom_match_score(D_learned, D_true):

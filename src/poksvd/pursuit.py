@@ -170,7 +170,7 @@ def _batch_refine(Y, blocks, supp, cols, cfg):
         # summed over the rows in order, as add.reduce does on an (MF, T) array
         norm = np.linalg.norm(np.ascontiguousarray(R.T), axis=0)
         done = norm <= floor
-        done |= (prev == 0) | (np.abs(prev - norm) < cfg.epsilon * np.where(prev > 0, prev, 1.0))
+        done |= (prev == 0) | (np.abs(prev - norm) < cfg.epsilon * prev)
         # every frame still refining at the cap leaves with this sweep's code
         leave = done | (sweep + 1 == cfg.max_refine_iters)
         if leave.any():

@@ -15,7 +15,7 @@ import poksvd.cli
 from poksvd import pursuit
 from poksvd.cli import build_parser, main, parse_args
 from poksvd.dictio import load_dictionary, save_dictionary
-from poksvd.pipeline import denoise, random_dictionary
+from poksvd.pipeline import apply_mask, denoise, random_dictionary
 from poksvd.pursuit import PursuitConfig
 from poksvd.stft import StftConfig, istft, stft
 from poksvd.wavio import read_wav, write_wav
@@ -574,8 +574,9 @@ class TestStreamedDenoise:
 
         x, rate = read_wav(wav)
         D, cfg = load_dictionary(d)
-        target, noise = denoise(stft(x[:, used], cfg), D, PursuitConfig(s_max=2, phase_optimization=not no_phase),
-                                mask=mask)
+        target, noise = denoise(stft(x[:, used], cfg), D, PursuitConfig(s_max=2, phase_optimization=not no_phase))
+        if mask:
+            target = apply_mask(target, noise)
         assert target.frames == frames
         write_wav(tmp / "whole_out.wav", istft(target), rate)
         write_wav(tmp / "whole_noise.wav", istft(noise), rate)

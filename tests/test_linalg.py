@@ -203,6 +203,23 @@ class TestDominantSingularTriple:
         assert np.array_equal(t1.left, t2.left)
         assert np.array_equal(t1.right, t2.right)
 
+    def test_null_space_start_restarts_on_the_largest_column(self):
+        # all-ones and e_1 are both in the null space
+        t = dominant_singular_triple(np.array([[0, 1, -1]], dtype=complex))
+        assert t.sigma == pytest.approx(np.sqrt(2), rel=1e-15)
+        assert np.allclose(t.right, np.array([0, 1, -1]) / np.sqrt(2))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(3, 6), st.integers(0, 2**32 - 1))
+    def test_null_space_start_on_generated_matrices(self, m, n, seed):
+        # a zero first column and columns summing to zero: A @ ones = 0 and A e_1 = 0
+        A = random_complex(np.random.default_rng(seed), m, n)
+        A[:, 0] = 0
+        A[:, -1] = -A[:, 1:-1].sum(axis=1)
+        t = dominant_singular_triple(A)
+        assert t.sigma == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-9)
+        assert np.allclose(A @ t.right, t.sigma * t.left, atol=1e-9 * t.sigma)
+
     def test_zero_matrix_raises(self):
         with pytest.raises(ValueError, match="zero matrix"):
             dominant_singular_triple(np.zeros((4, 3), dtype=complex))
