@@ -33,8 +33,8 @@ class Diagnostics:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def add(self, **counts):
-        """Add to the named counters as one step, so that column blocks
-        coded on concurrent threads lose no count."""
+        """Add to the named counters as one step, so that pursuit calls on
+        concurrent threads lose no count."""
         with self._lock:
             for name, n in counts.items():
                 setattr(self, name, getattr(self, name) + n)

@@ -1,5 +1,6 @@
 """Greedy phase-optimized sparse coding (PO-OMP), frames coded in lockstep
-in fixed-width column blocks, the blocks shared out among the available cores.
+in fixed-width column blocks, the blocks shared out among the available cores
+by the calling process and helper processes forked for the call.
 
 Each outer step selects the atom whose per-bin phase-rotated copy best
 matches the residual, then alternately refines all gains (least squares on
@@ -13,8 +14,14 @@ of the least-squares gains, which on real data reduces to a sign.
 
 from __future__ import annotations
 
+import _thread
+import contextlib
+import gc
+import mmap
 import os
-import threading
+import pickle
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,12 @@ SCORE_BUDGET_BYTES = 16 * 2**20
 # Bins per slab of the atom scoring: a greedy step forms and reduces its
 # correlations one slab at a time, never all F bins at once.
 SCORE_SLAB = 32
+
+# One span index as it passes through the queue pipe of _share_out.
+_INDEX = struct.Struct("q")
+
+# The diagnostics counters that a helper process sends back for each span.
+_COUNTED = ("refine_cap_hits", "ridge_fallbacks")
 
 
 @dataclass
@@ -250,12 +263,13 @@ def _block_width(bins, num_atoms, workers=1):
 
 
 def chunk_width(bins, num_atoms):
-    """Frames that one ``po_omp_batch`` call codes as exactly one column
-    block per available core: n * ``_block_width(bins, num_atoms, n)``.
-    Callers that code a long input in pieces use it as the piece size, so
-    that every core gets a full block in each call."""
+    """Frames that one ``po_omp_batch`` call codes as exactly two column
+    blocks per available core: 2 * n * ``_block_width(bins, num_atoms, n)``.
+    Callers that code a long input in pieces use it as the piece size: every
+    core gets full blocks in each call, and with two per core the shared
+    queue evens out blocks that take different numbers of sweeps."""
     workers = _worker_count()
-    return workers * _block_width(bins, num_atoms, workers)
+    return 2 * workers * _block_width(bins, num_atoms, workers)
 
 
 def _column_blocks(T, width):
@@ -280,12 +294,13 @@ def po_omp_batch(Y, D, cfg=None):
     of ``_block_width`` frames gives the one-batch result bit for bit while
     the working arrays stay those of the blocks in flight.  With n available
     cores the budget is split n ways, and the blocks are coded by the
-    calling thread and up to n - 1 helper threads; a single block is coded
-    on the calling thread alone.
+    calling process and up to n - 1 helper processes forked for this call
+    (``_share_out``), all writing into the batch's arrays, which live in
+    one shared anonymous mmap; a single block is coded by the caller alone.
     """
     cfg = cfg or PursuitConfig()
     Y = _frame_matrix(Y, D)
-    batch = CodingBatch.empty(D.num_atoms, cfg.s_max, D.bins, Y.copy())
+    batch = _shared_batch(D.num_atoms, cfg.s_max, D.bins, Y)
     blocks = D.blocks()
     workers = _worker_count()
     spans = _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms, workers))
@@ -298,6 +313,29 @@ def po_omp_batch(Y, D, cfg=None):
 
     _share_out(code, spans, min(workers, len(spans)) - 1)
     return batch
+
+
+def _shared_arrays(*specs):
+    """Zeroed arrays of the (shape, dtype) ``specs``, laid out in that order
+    in one anonymous shared mmap, so that what a forked helper writes into
+    them is what the caller reads.  The mmap lives as long as the arrays."""
+    counts = [int(np.prod(shape)) for shape, _ in specs]
+    sizes = [n * np.dtype(dtype).itemsize for n, (_, dtype) in zip(counts, specs)]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    offsets = np.cumsum([0] + sizes[:-1])
+    return [np.frombuffer(buf, dtype, n, int(offset)).reshape(shape)
+            for (shape, dtype), n, offset in zip(specs, counts, offsets)]
+
+
+def _shared_batch(num_atoms, slots, bins, Y):
+    """``CodingBatch.empty``'s arrays in shared memory, the residual a copy
+    of the (M*F, T) frames Y; the 16-byte complex arrays come first."""
+    T = Y.shape[1]
+    residual, columns, gains, support, lengths = _shared_arrays(
+        (Y.shape, np.complex128), ((bins, slots, T), np.complex128), ((T, slots), float),
+        ((slots, T), int), ((T,), int))
+    residual[...] = Y
+    return CodingBatch(num_atoms, support, lengths, gains, columns, residual)
 
 
 def _frame_matrix(Y, D):
@@ -315,39 +353,136 @@ def _frame_matrix(Y, D):
 
 
 def _share_out(code, spans, helpers):
-    """Call ``code(a, b)`` for every span, on the calling thread and
-    ``helpers`` helper threads that all take the next span from one shared
-    queue.  The first exception stops the taking of spans and is raised
-    again here once every thread has finished its current span."""
-    queue = iter(spans)
-    lock = threading.Lock()
-    errors = []
+    """Call ``code(a, b)`` for every span, in the calling process and in up
+    to ``helpers`` helper processes forked here, which see ``code``'s inputs
+    as they were at the fork and write its outputs into shared memory.  All
+    of them run one span loop (``_drain``) on one shared queue of span
+    indices.  With no ``os.fork``, or with other live threads, which a fork
+    leaves in an unsafe state, the caller codes every span alone.
 
-    def take():
-        with lock:
-            return None if errors else next(queue, None)
-
-    def drain():
-        try:
-            for span in iter(take, None):
-                code(*span)
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-
-    threads = [threading.Thread(target=drain, daemon=True) for _ in range(helpers)]
-    for thread in threads:
-        thread.start()
+    A span that raises stops the queue; every process finishes its current
+    span, and the exception of the earliest failed span is raised here with
+    its type and args.  Each helper sends back its spans' increments of the
+    ``linalg.diagnostics`` counters, added here in span order.  Any other
+    exit, such as an interrupt, kills the helpers; every helper is reaped
+    before this returns or raises.
+    """
+    # _thread._count() counts the live threads besides the main one, as
+    # threading.active_count() - 1 does
+    if helpers < 1 or not hasattr(os, "fork") or _thread._count():
+        helpers = 0
+    counts = _shared_arrays(((len(spans), len(_COUNTED)), np.int64))[0]
+    caller, queue = os.getpid(), os.pipe()
+    pids, reports, statuses = [], [], []
+    finished = False
     try:
-        drain()
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:  # interrupted while waiting: take no new span
-        with lock:
-            errors.append(exc)
-        raise
-    if errors:
-        raise errors[0]
+        os.write(queue[1], _INDEX.pack(0))
+        with _interrupts_held(helpers):
+            for _ in range(helpers):
+                read_end, write_end = os.pipe()
+                reports.append(read_end)
+                try:
+                    pid = os.fork()
+                    if pid == 0:  # a helper: it never unwinds into the caller's frames
+                        status = 1
+                        try:
+                            gc.disable()  # no finalizer of the caller's garbage runs here
+                            failure = _drain(code, spans, queue, counts, caller)
+                            if failure is not None:
+                                with open(write_end, "wb", closefd=False) as report:
+                                    report.write(_pickled(*failure))
+                            status = 0
+                        finally:
+                            os._exit(status)
+                finally:
+                    os.close(write_end)
+                pids.append(pid)
+        own = _drain(code, spans, queue)
+        # a helper's report ends when it exits, so this waits for every helper
+        failures = [pickle.loads(blob) for blob in map(_read_all, reports) if blob]
+        finished = True
+    finally:
+        with _interrupts_held(pids):
+            for pid in pids:
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                statuses.append(os.waitpid(pid, 0)[1])
+            for fd in queue + tuple(reports):
+                os.close(fd)
+            diagnostics.add(**dict(zip(_COUNTED, map(int, counts.sum(axis=0)))))
+    failures += [own] if own else []
+    if failures:  # each span is coded once, so no two share an index
+        raise min(failures, key=lambda f: f[0])[1]
+    for pid, status in zip(pids, statuses):
+        if status:
+            raise RuntimeError("helper process %d exited with status %d, its spans uncoded"
+                               % (pid, os.waitstatus_to_exitcode(status)))
+
+
+def _drain(code, spans, queue, counts=None, caller=None):
+    """The span loop of ``_share_out``: code the spans whose indices the
+    queue hands out until it runs out or is stopped.  Returns (index,
+    exception) of a span that raised, once it has stopped the queue, or
+    None.  A helper passes ``counts``, (spans, len(_COUNTED)), to receive
+    each span's increments of its own copy of the diagnostics counters, and
+    ``caller``, the calling process's pid: once that process has died, as
+    under SIGKILL, the helper takes no new span."""
+    while (i := _take(queue, len(spans))) is not None:
+        if caller is not None and os.getppid() != caller:
+            break
+        before = [getattr(diagnostics, name) for name in _COUNTED]
+        try:
+            code(*spans[i])
+        except Exception as exc:
+            _take(queue, len(spans), stop=True)
+            return i, exc
+        finally:
+            if counts is not None:
+                counts[i] = [getattr(diagnostics, name) - n for name, n in zip(_COUNTED, before)]
+    return None
+
+
+def _take(queue, n, stop=False):
+    """The next of n span indices from the queue pipe, or None once they
+    are all taken or the queue is stopped.  The pipe holds one index, so a
+    process that reads it holds the queue until it writes the next one
+    back; ``stop`` writes back n instead."""
+    (i,) = _INDEX.unpack(os.read(queue[0], _INDEX.size))
+    os.write(queue[1], _INDEX.pack(n if stop else min(i + 1, n)))
+    return i if i < n else None
+
+
+@contextlib.contextmanager
+def _interrupts_held(hold):
+    """SIGINT held back while ``hold`` is true, so that an interrupt falls
+    neither between a fork and the record of its pid nor into the reaping.
+    A helper keeps it held for life: an interrupt reaches the caller, which
+    kills its helpers."""
+    if not hold:
+        yield
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _pickled(i, exc):
+    """(i, exc) pickled, or with a RuntimeError carrying exc's repr in its
+    place when exc does not come back from a pickle round trip."""
+    try:
+        blob = pickle.dumps((i, exc))
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return pickle.dumps((i, RuntimeError(repr(exc))))
+
+
+def _read_all(fd):
+    """Bytes from the pipe ``fd`` until every writer has closed it."""
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
 
 
 def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):

@@ -523,12 +523,13 @@ class TestDenoiseAndEval:
 
 @contextlib.contextmanager
 def chunks(workers, block, bins, atoms):
-    """``poksvd denoise``'s chunk set to ``workers * block`` frames: the
-    cores and score budget that give ``block``-frame column blocks."""
+    """``poksvd denoise``'s chunk set to ``2 * workers * block`` frames: the
+    cores and score budget that give ``block``-frame column blocks, two per
+    core in each chunk."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pursuit, "_worker_count", lambda: workers)
         mp.setattr(pursuit, "SCORE_BUDGET_BYTES", block * workers * 16 * bins * atoms)
-        assert pursuit.chunk_width(bins, atoms) == workers * block
+        assert pursuit.chunk_width(bins, atoms) == 2 * workers * block
         yield
 
 
@@ -556,7 +557,7 @@ class TestStreamedDenoise:
     @example("float32", 2, None, 4, 2, 2, 3, 0, True, True, True, 1)  # T three chunks exactly
     def test_streamed_outputs_match_the_whole_file(self, tmp_path_factory, fmt, inputs, data,
                                                    hop, workers, block, q, r, emit, no_phase, mask, seed):
-        chunk = workers * block
+        chunk = 2 * workers * block
         frames = max(1, q * chunk + r % chunk)
         used = list(range(inputs)) if data is None else data.draw(
             st.permutations(range(inputs)).flatmap(lambda p: st.integers(1, inputs).map(lambda k: p[:k])))
@@ -596,7 +597,7 @@ class TestStreamedDenoise:
                             or denoise(spec, *a, **k))
         (tmp_path / "noise.wav").write_bytes(b"kept")
         capsys.readouterr()
-        with chunks(2, 2, 9, 3):
+        with chunks(2, 1, 9, 3):
             rc = main(["denoise", "--input", str(wav), "--dict", str(d), "--output", str(tmp_path / "out.wav"),
                        "--emit-noise", str(tmp_path / "noise.wav")] + flags)
         assert rc == 1

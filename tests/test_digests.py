@@ -7,11 +7,11 @@ compared item by item with the committed ``tests/digests.json``.
     python tests/test_digests.py --record    # rewrite tests/digests.json
 
 The set runs in a fresh interpreter with one OpenBLAS thread, once on one
-CPU, where ``po_omp_batch`` codes every column block on the calling thread,
+CPU, where ``po_omp_batch`` codes every column block in the calling process,
 and once on all the CPUs the process may use, where the multi-block problem
-shares its blocks out among threads.  Digests belong to the numpy/OpenBLAS
-build that recorded them; on another build the test skips and names both
-builds.  The demos of SLOW_DEMOS take longer than the rest of the set
+shares its blocks out among helper processes.  Digests belong to the
+numpy/OpenBLAS build that recorded them; on another build the test skips
+and names both builds.  The demos of SLOW_DEMOS take longer than the rest of the set
 together, so their items are checked by a test of their own that runs once,
 on all CPUs.  A change that moves output bits on purpose re-records the file
 and names the items it changed.
@@ -188,7 +188,7 @@ def test_seeded_outputs_match_recorded_digests():
 
 def test_threaded_outputs_match_recorded_digests():
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("only one CPU is available, so po_omp_batch starts no helper thread here")
+        pytest.skip("only one CPU is available, so po_omp_batch starts no helper process here")
     check_digests()
 
 

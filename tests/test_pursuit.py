@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
 import functools
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -525,10 +529,18 @@ class TestColumnBlocks:
             assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
 
     def test_peak_memory_does_not_grow_with_frame_count(self):
-        # the working memory: the traced peak less the returned batch's own
-        # arrays, which hold every frame's code and so grow with T
+        # the caller's working memory: the traced peak less the returned
+        # batch's arrays, which hold every frame's code and so grow with T,
+        # where tracemalloc saw them; it sees neither an mmap's pages nor a
+        # helper's allocations
         rng = np.random.default_rng(0)
         D = random_dictionary(rng, 2, 257, 200)
+
+        def traced_nbytes(a):
+            root = a
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            return a.nbytes if root.base is None else 0
 
         def working(Y, workers):
             tracemalloc.start()
@@ -536,7 +548,7 @@ class TestColumnBlocks:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(pursuit, "_worker_count", lambda: workers)
                     batch = po_omp_batch(Y, D, PursuitConfig(s_max=2))
-                own = sum(getattr(batch, name).nbytes
+                own = sum(traced_nbytes(getattr(batch, name))
                           for name in ("support", "lengths", "gains", "columns", "residual"))
                 return tracemalloc.get_traced_memory()[1] - own
             finally:
@@ -594,6 +606,43 @@ class TestWorkingSet:
         assert traced_peak(lambda: pursuit._batch_scores(R3, blocks, cfg)) <= mib * 2**20
 
 
+class NotRebuilt(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def failing_helper(fail):
+    """``_code_block`` replaced so that a helper calls ``fail()`` on the
+    first block it takes, and the caller codes its own first block only
+    once a helper has done so."""
+    caller, (ready, failed) = os.getpid(), os.pipe()
+    code_block = pursuit._code_block
+
+    def code(*args):
+        if os.getpid() == caller:
+            assert select.select([ready], [], [], 10)[0]  # leave the next block to a helper
+            return code_block(*args)
+        os.write(failed, b"x")
+        return fail()
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "_code_block", code)
+            yield
+    finally:
+        os.close(ready)
+        os.close(failed)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkers:
     @pytest.mark.parametrize("problem, cfg, counter", [
         # every frame reaches the sweep cap once it has two atoms
@@ -612,27 +661,107 @@ class TestWorkers:
         assert counts[0] == counts[1]
         assert getattr(diagnostics, counter) > 0
 
-    def test_helper_error_is_raised_and_threads_end(self):
+    @pytest.mark.parametrize("error, expected", [
+        (ValueError("block failed", 7), ValueError("block failed", 7)),
+        (NotRebuilt("not rebuilt", 2), RuntimeError(repr(NotRebuilt("not rebuilt", 2)))),
+    ])
+    def test_helper_error_is_raised_and_no_child_is_left(self, error, expected):
         D, Y, _ = generated((2, 4, 3, 12, 2, 8))
-        caller, failed = threading.current_thread(), threading.Event()
-        error = RuntimeError("block failed")
-        code_block = pursuit._code_block
 
-        def fail_on_helper(*args):
-            if threading.current_thread() is caller:
-                failed.wait(10)  # leave the next block to the helper
-                return code_block(*args)
-            failed.set()
+        def fail():
             raise error
 
-        before = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pursuit, "_code_block", fail_on_helper)
-            with pytest.raises(RuntimeError) as raised:
+        with failing_helper(fail), pytest.raises(type(expected)) as raised:
+            coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 2)
+        assert raised.value.args == expected.args
+        assert_no_child_left()
+
+    def test_helper_that_dies_fails_the_call(self):
+        D, Y, _ = generated((2, 4, 3, 12, 2, 8))
+        with failing_helper(lambda: os.kill(os.getpid(), signal.SIGKILL)):
+            with pytest.raises(RuntimeError, match="exited with status -9, its spans uncoded"):
                 coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 2)
-        assert raised.value is error
-        assert failed.is_set()
-        assert threading.active_count() == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError("caller failed", 3), KeyboardInterrupt()])
+    def test_caller_error_is_raised_and_no_child_is_left(self, error):
+        D, Y, _ = generated((2, 4, 3, 12, 2, 8))
+        caller, forks, fork = os.getpid(), [], os.fork
+        code_block = pursuit._code_block
+
+        def fail_on_caller(*args):
+            if os.getpid() == caller:
+                raise error
+            if isinstance(error, KeyboardInterrupt):
+                time.sleep(30)  # still coding when the interrupted caller kills it
+            return code_block(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "_code_block", fail_on_caller)
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            began = time.monotonic()
+            with pytest.raises(type(error)) as raised:
+                coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 3)
+        assert raised.value.args == error.args
+        assert time.monotonic() - began < 20
+        assert forks == [1, 1]
+        assert_no_child_left()
+
+    def test_helper_of_a_killed_caller_takes_no_new_block(self):
+        # The caller SIGKILLs itself in its first one-frame block. Its helper
+        # has 39 blocks of 0.2 s left and holds the output pipe, which closes
+        # only once the helper has exited too.
+        script = """if True:
+            import os, signal, time
+            import numpy as np
+            from poksvd import pursuit
+            from poksvd.pipeline import random_dictionary
+
+            D = random_dictionary(np.random.default_rng(0), 1, 4, 3)
+            pursuit._worker_count = lambda: 2
+            pursuit.SCORE_BUDGET_BYTES = 2 * 16 * 4 * 3
+            caller, code_block = os.getpid(), pursuit._code_block
+
+            def code(*args):
+                if os.getpid() == caller:
+                    os.kill(caller, signal.SIGKILL)
+                time.sleep(0.2)
+                return code_block(*args)
+
+            pursuit._code_block = code
+            pursuit.po_omp_batch(np.ones((4, 40), dtype=complex), D)
+        """
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pursuit.__file__)))
+        began = time.monotonic()
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+        assert out.returncode == -signal.SIGKILL, out.stderr
+        assert time.monotonic() - began < 4
+
+    # A live extra thread, or no os.fork at all, leaves every block to the
+    # caller: the bits are those of one worker, and no fork is tried.
+    @settings(GENERATED, max_examples=20)
+    @given(problems, st.integers(1, 4), st.booleans())
+    def test_no_fork_under_threads_or_without_fork(self, problem, width, phase_optimization):
+        D, Y, _ = generated(problem)
+        cfg = PursuitConfig(s_max=problem[4], phase_optimization=phase_optimization)
+        one = coded_in_blocks(Y, D, cfg, width)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
+                threaded = coded_in_blocks(Y, D, cfg, width, 2)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")
+            forkless = coded_in_blocks(Y, D, cfg, width, 2)
+        for coded in (threaded, forkless):
+            for name in ("support", "lengths", "gains", "columns", "residual"):
+                assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
 
 
 class TestConfigValidation:

@@ -2,9 +2,9 @@
 (``poksvd.cli.stft``, ``poksvd.learning.update_atom``, ...) with wrappers.
 A call that bypasses such a name would silently zero a per-layer metric, so
 every name must stay on the path that the CLI and the library run.  The
-tracer's span stack is not thread-safe, so every such call must also come
-from the thread that called into the package, whatever threads
-``po_omp_batch`` starts to code its column blocks."""
+tracer records its spans in the process that called into the package, so
+every such call must also come from that process's calling thread, whatever
+helper processes ``po_omp_batch`` forks to code its column blocks."""
 
 import functools
 import importlib
