@@ -1,8 +1,10 @@
 """Dense complex linear-algebra kernels used by the pursuit and learning loops.
 
-Three primitives are needed: a batched least-squares solve, the
-unit-modulus phase z/|z|, and the dominant singular triple of a complex
-matrix.  ``least_squares_frames`` solves the normal equations of many small
+Four primitives are needed: a batched least-squares solve, the
+unit-modulus phase z/|z|, the dominant singular triple of a complex
+matrix, and ``bin_sums``, the slab-wise sum over the bins of per-bin
+correlations, which both the atom scoring and the atom overlap reduce.
+``least_squares_frames`` solves the normal equations of many small
 systems in one LAPACK call, frame-major: frames on the leading axis and the
 rows of each system last and contiguous, the layout of the pursuit's
 refinement kernel.  A singular system gets a small ridge and is counted in
@@ -22,6 +24,10 @@ import numpy as np
 # Relative ridge weight applied when the normal equations are numerically
 # singular (near-collinear atoms on degenerate inputs).
 RIDGE_SCALE = 1e-10
+
+# Bins per slab of bin_sums: the per-bin correlations are formed and reduced
+# one slab at a time, never all F bins at once.
+SCORE_SLAB = 32
 
 
 @dataclass
@@ -113,6 +119,28 @@ def _normal_equations(A, y):
         G[:, i, :i].real = upper.real
         np.subtract(0.0, upper.imag, out=G[:, i, :i].imag)
     return G, b
+
+
+def bin_sums(left, right, term):
+    """sum_f term(b_f), (K, T), of the per-bin correlations
+    b_fkt = left_fk^H right_ft of left (F, M, K) and right (F, M, T).
+
+    ``term`` maps a (n, K, T) slab of correlations to a new array of its
+    terms (or returns the slab itself), which is then added to in place.
+    The correlations are formed SCORE_SLAB bins at a time and turned into
+    terms there.  Each slab's first row takes the running sum of the slabs
+    before it, and one in-order reduction adds up the slab, so the bins are
+    added in order for every shape, an (F, 1, 1) one included, and at most
+    one (SCORE_SLAB, K, T) slab of correlations and terms is held.
+    """
+    for a in range(0, left.shape[0], SCORE_SLAB):
+        b = np.einsum("fmk,fmt->fkt", left[a : a + SCORE_SLAB].conj(), right[a : a + SCORE_SLAB])
+        terms = term(b)
+        del b
+        if a:
+            terms[0] += total
+        total = np.add.accumulate(terms, axis=0)[-1].copy()
+    return total
 
 
 def unit_phase(z, fallback=1.0):

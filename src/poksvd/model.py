@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import bin_sums
+
 ATOM_NORM_TOL = 1e-10
 
 
@@ -48,9 +50,20 @@ class Dictionary:
 
     def overlap(self, other=None):
         """(K, K') matrix of sum_f |d_fj^H e_fk|: the phase-invariant overlap
-        of atom j with atom k of ``other`` (default: this dictionary)."""
+        of atom j with atom k of ``other`` (default: this dictionary).
+
+        One ``linalg.bin_sums`` call, so only a (SCORE_SLAB, K, K') slab of
+        the per-bin correlations is held, never the whole (F, K, K') Gram,
+        and the bins are added in order.  Raises ValueError when the two
+        dictionaries have different (M, F).
+        """
         other = self if other is None else other
-        return np.abs(np.einsum("fmj,fmk->fjk", self.blocks().conj(), other.blocks())).sum(axis=0)
+        if (self.channels, self.bins) != (other.channels, other.bins):
+            raise ValueError(
+                "dictionaries have different (M, F): (%d, %d) and (%d, %d)"
+                % (self.channels, self.bins, other.channels, other.bins)
+            )
+        return bin_sums(self.blocks(), other.blocks(), np.abs)
 
 
 @dataclass

@@ -66,26 +66,29 @@ def _decorrelate(atoms, channels, bins, limit):
     Plain Gaussian draws almost never satisfy tight limits (the typical
     pairwise overlap at M=2, F=16 is ~0.6), so offending pairs are
     repelled along their per-bin phase-aligned components instead of
-    redrawn wholesale.
+    redrawn wholesale.  The coherences are ``Dictionary.overlap``; the
+    per-bin correlations G[:, j, k] whose phases a repulsion needs are
+    formed only for the pairs it pushes apart, with the bits the whole
+    (F, K, K) Gram would give them.
     """
     K = atoms.shape[1]
     for _ in range(DECORRELATE_SWEEPS):
-        blocks = atoms.reshape(bins, channels, K)
-        G = np.einsum("fmj,fmk->fjk", blocks.conj(), blocks)
-        coh = np.abs(G).sum(axis=0)
+        D = Dictionary(channels, bins, atoms)
+        coh = D.overlap()
         np.fill_diagonal(coh, 0.0)
         worst = coh.max() if K > 1 else 0.0
         if worst < limit:
             return atoms
         target = 0.95 * limit
+        blocks = D.blocks()
         updated = atoms.copy()
         for j in range(K):
             for k in range(j + 1, K):
                 if coh[j, k] < target:
                     continue
-                u = unit_phase(G[:, j, k], 0.0)
                 bj = blocks[:, :, j]
                 bk = blocks[:, :, k]
+                u = unit_phase(np.einsum("fm,fm->f", bj.conj(), bk), 0.0)
                 updated[:, k] -= DECORRELATE_STEP * (u[:, None] * bj).ravel()
                 updated[:, j] -= DECORRELATE_STEP * (u.conj()[:, None] * bk).ravel()
         for k in range(K):
@@ -234,8 +237,6 @@ def atom_match_score(D_learned, D_true):
     """
     from scipy.optimize import linear_sum_assignment  # slow import, needed only here
 
-    if (D_learned.channels, D_learned.bins) != (D_true.channels, D_true.bins):
-        raise ValueError("dictionaries have different (M, F)")
     S = D_learned.overlap(D_true)  # (K_learned, K_true)
     best = S.max(axis=0)
     rows, cols = linear_sum_assignment(-S)

@@ -26,17 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import diagnostics, least_squares_frames, unit_phase
+from .linalg import bin_sums, diagnostics, least_squares_frames, unit_phase
 from .model import CodingBatch
 
 # Bytes of complex (F, K) correlations that the frames of all column blocks
 # in flight may stand for together; sets the block width of po_omp_batch, so
 # its memory does not grow with T or with the worker count.
 SCORE_BUDGET_BYTES = 16 * 2**20
-
-# Bins per slab of the atom scoring: a greedy step forms and reduces its
-# correlations one slab at a time, never all F bins at once.
-SCORE_SLAB = 32
 
 # One span index as it passes through the queue pipe of _share_out.
 _INDEX = struct.Struct("q")
@@ -109,24 +105,17 @@ def _batch_scores(R3, blocks, cfg):
     the sums over the bins (K, T) that they are the moduli of: sums of the
     per-bin correlations' |b| (derived), b/|b| (literal) or b (classic).
 
-    The correlations are formed SCORE_SLAB bins at a time and turned into
-    terms there.  Each slab's first row takes the running sum of the slabs
-    before it, and one in-order reduction adds up the slab, so the bins are
-    added in order for every shape and mode: a lone frame gets the bits it
-    has in a batch.
+    The sums are ``linalg.bin_sums``, which forms the correlations one
+    SCORE_SLAB-bin slab at a time and adds the bins in order for every
+    shape and mode: a lone frame gets the bits it has in a batch.
     """
-    for a in range(0, R3.shape[0], SCORE_SLAB):
-        B = np.einsum("fmk,fmt->fkt", blocks[a : a + SCORE_SLAB].conj(), R3[a : a + SCORE_SLAB])
-        if not cfg.phase_optimization:
-            term = B
-        elif cfg.selection_rule == "literal":
-            term = unit_phase(B, 0.0)
-        else:
-            term = np.abs(B)
-        del B
-        if a:
-            term[0] += total
-        total = np.add.accumulate(term, axis=0)[-1].copy()
+    if not cfg.phase_optimization:
+        term = lambda b: b
+    elif cfg.selection_rule == "literal":
+        term = lambda b: unit_phase(b, 0.0)
+    else:
+        term = np.abs
+    total = bin_sums(blocks, R3, term)
     return np.abs(total), total
 
 
@@ -254,10 +243,10 @@ def _selected_columns(R3, blocks, k_sel, total, cfg):
 
 def _block_width(bins, num_atoms, workers=1):
     """Frames per column block, W = SCORE_BUDGET_BYTES / (16 F K workers)
-    and at least one.  The scoring holds only a SCORE_SLAB-bin slab of a
-    block's correlations, so W no longer sizes a score tensor: it sets how
-    many frames a block codes in lockstep, and with them the size of each
-    block's refinement arrays, about five copies of its (W, s, F, M)
+    and at least one.  The scoring holds only a ``linalg.SCORE_SLAB``-bin
+    slab of a block's correlations, so W no longer sizes a score tensor: it
+    sets how many frames a block codes in lockstep, and with them the size
+    of each block's refinement arrays, about five copies of its (W, s, F, M)
     support blocks."""
     return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms * workers))
 

@@ -1,5 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.model import (
     Dictionary,
@@ -79,6 +84,62 @@ class TestDictionary:
         Dictionary(channels=2, bins=2, atoms=atoms).validate()
         with pytest.raises(ValueError, match="unit-norm"):
             Dictionary(channels=2, bins=2, atoms=2 * atoms).validate()
+
+
+def random_blocks(rng, M, F, K, zero_share):
+    """A (M*F, K) atom array whose (f, m, k) entries are 0 with probability
+    ``zero_share``, and whose atoms' bins are all 0 with that probability."""
+    atoms = random_complex(rng, F * M, K)
+    blocks = atoms.reshape(F, M, K)
+    blocks[rng.uniform(size=(F, M, K)) < zero_share] = 0.0
+    blocks[np.broadcast_to(rng.uniform(size=(F, 1, K)) < zero_share, blocks.shape)] = 0.0
+    return Dictionary(channels=M, bins=F, atoms=atoms)
+
+
+# bin counts below, at and past one slab, and not multiples of it
+slab_bins = st.sampled_from([1, 2, 7, 31, 32, 33, 63, 64, 65, 100, 513])
+overlap_cases = st.tuples(
+    st.integers(1, 4), slab_bins, st.integers(1, 6), st.integers(1, 6),
+    st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1),
+)
+
+
+class TestOverlap:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(overlap_cases)
+    def test_bits_of_the_whole_gram_sum(self, case):
+        M, F, K, K2, zero_share, seed = case
+        rng = np.random.default_rng(seed)
+        A = random_blocks(rng, M, F, K, zero_share)
+        B = random_blocks(rng, M, F, K2, zero_share)
+        terms = np.abs(np.einsum("fmj,fmk->fjk", A.blocks().conj(), B.blocks()))
+        got = A.overlap(B)
+        assert got.shape == (K, K2)
+        if K * K2 > 1:
+            assert got.tobytes() == terms.sum(axis=0).tobytes()
+        # one atom each: the bins are added in order, as a batch's scores
+        # add them, where numpy's one-call sum of a (F, 1, 1) column adds
+        # pairwise
+        assert got.tobytes() == functools.reduce(np.add, terms).tobytes()
+
+    def test_holds_no_whole_gram(self):
+        # the (F, K, K) complex Gram alone of this dictionary takes 13.1 MB
+        rng = np.random.default_rng(4)
+        D = random_blocks(rng, 2, 513, 40, 0.0)
+        tracemalloc.start()
+        try:
+            D.overlap()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_different_shapes_rejected(self):
+        rng = np.random.default_rng(5)
+        A = random_blocks(rng, 2, 4, 3, 0.0)
+        for M, F in [(2, 8), (1, 8), (4, 2)]:
+            with pytest.raises(ValueError, match=r"different.*\(2, 4\).*\(%d, %d\)" % (M, F)):
+                A.overlap(random_blocks(rng, M, F, 3, 0.0))
 
 
 class TestPhaseMatrix:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poksvd import pursuit
-from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
+from poksvd import pipeline, pursuit
+from poksvd.linalg import unit_phase
+from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, normalize_atom, reconstruct
 from poksvd.pipeline import (
     SyntheticSpec,
     apply_mask,
@@ -48,6 +49,47 @@ class TestDictionaryCoherence:
         D = random_dictionary(rng, channels=2, bins=16, num_atoms=8, max_coherence=0.5)
         assert dictionary_coherence(D) < 0.5
         D.validate()
+
+
+def decorrelate_from_whole_gram(atoms, channels, bins, limit):
+    """_decorrelate as it reads every coherence and phase from the whole
+    (F, K, K) per-bin Gram."""
+    K = atoms.shape[1]
+    for _ in range(pipeline.DECORRELATE_SWEEPS):
+        blocks = atoms.reshape(bins, channels, K)
+        G = np.einsum("fmj,fmk->fjk", blocks.conj(), blocks)
+        coh = np.abs(G).sum(axis=0)
+        np.fill_diagonal(coh, 0.0)
+        if (coh.max() if K > 1 else 0.0) < limit:
+            return atoms
+        updated = atoms.copy()
+        for j in range(K):
+            for k in range(j + 1, K):
+                if coh[j, k] >= 0.95 * limit:
+                    u = unit_phase(G[:, j, k], 0.0)
+                    updated[:, k] -= pipeline.DECORRELATE_STEP * (u[:, None] * blocks[:, :, j]).ravel()
+                    updated[:, j] -= pipeline.DECORRELATE_STEP * (u.conj()[:, None] * blocks[:, :, k]).ravel()
+        for k in range(K):
+            updated[:, k] = normalize_atom(updated[:, k], channels)[0]
+        atoms = updated
+    raise RuntimeError("no convergence")
+
+
+class TestDecorrelate:
+    # the coherences come from Dictionary.overlap and each pushed pair's
+    # phases from its own per-bin correlations: the whole Gram's bits
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.sampled_from([4, 16, 33, 40]), st.integers(2, 8),
+           st.sampled_from([0.4, 0.5, 0.7]), st.integers(0, 2**32 - 1))
+    def test_bits_of_the_whole_gram_pass(self, M, F, K, limit, seed):
+        atoms = random_dictionary(np.random.default_rng(seed), M, F, K).atoms
+        try:
+            want = decorrelate_from_whole_gram(atoms, M, F, limit)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="could not reach"):
+                pipeline._decorrelate(atoms, M, F, limit)
+            return
+        assert pipeline._decorrelate(atoms, M, F, limit).tobytes() == want.tobytes()
 
 
 class TestGenerateSynthetic:

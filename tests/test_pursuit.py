@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poksvd import pursuit
+from poksvd import linalg, pursuit
 from poksvd.linalg import diagnostics, unit_phase
 from poksvd.model import Dictionary, PhaseMatrix, SparseCode, apply_phased_dictionary, reconstruct
 from poksvd.pipeline import denoise, random_dictionary
@@ -171,7 +171,7 @@ class TestScoring:
         B = np.einsum("fmk,fmt->fkt", D.blocks().conj(), R3)
         total = functools.reduce(np.add, term(B))  # bin 0 + bin 1 + ..., in order
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pursuit, "SCORE_SLAB", slab)
+            mp.setattr(linalg, "SCORE_SLAB", slab)
             scores, got = pursuit._batch_scores(R3, D.blocks(), cfg)
         assert got.tobytes() == total.tobytes()
         assert scores.tobytes() == np.abs(total).tobytes()
@@ -714,7 +714,7 @@ class TestWorkers:
         script = """if True:
             import os, signal, time
             import numpy as np
-            from poksvd import pursuit
+            from poksvd import linalg, pursuit
             from poksvd.pipeline import random_dictionary
 
             D = random_dictionary(np.random.default_rng(0), 1, 4, 3)
