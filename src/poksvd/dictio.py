@@ -7,9 +7,10 @@ Layout (all little-endian):
                 as a float64 (re, im) pair
 
 The loader rejects a corrupt file with DictionaryFileError: a bad magic
-tag or payload size, atoms that fail ``Dictionary.validate`` (unit norm to
-1e-8), or a header that no ``StftConfig`` accepts (a sample rate of 0, an odd
-window, a hop outside (0, window_len]).
+tag or payload size, a header with M, F or K of 0, atoms that fail
+``Dictionary.validate`` (unit norm to 1e-8), or a header that no
+``StftConfig`` accepts (a sample rate of 0, an odd window, a hop outside
+(0, window_len]).
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ def load_dictionary(path):
     if blob[: len(MAGIC)] != MAGIC:
         raise DictionaryFileError("%s: bad magic tag" % path)
     m, f, k, rate, wl, hop = _HEADER.unpack_from(blob, len(MAGIC))
+    if 0 in (m, f, k):
+        raise DictionaryFileError("%s: header has M=%d, F=%d, K=%d; each must be >= 1"
+                                  % (path, m, f, k))
     expected = len(MAGIC) + _HEADER.size + m * f * k * 16
     if len(blob) != expected:
         raise DictionaryFileError(

@@ -17,9 +17,9 @@ from __future__ import annotations
 import _thread
 import contextlib
 import gc
+import logging
 import mmap
 import os
-import pickle
 import signal
 import struct
 from dataclasses import dataclass
@@ -28,6 +28,8 @@ import numpy as np
 
 from .linalg import bin_sums, diagnostics, least_squares_frames, unit_phase
 from .model import CodingBatch
+
+log = logging.getLogger(__name__)
 
 # Bytes of complex (F, K) correlations that the frames of all column blocks
 # in flight may stand for together; sets the block width of po_omp_batch, so
@@ -243,11 +245,9 @@ def _selected_columns(R3, blocks, k_sel, total, cfg):
 
 def _block_width(bins, num_atoms, workers=1):
     """Frames per column block, W = SCORE_BUDGET_BYTES / (16 F K workers)
-    and at least one.  The scoring holds only a ``linalg.SCORE_SLAB``-bin
-    slab of a block's correlations, so W no longer sizes a score tensor: it
-    sets how many frames a block codes in lockstep, and with them the size
-    of each block's refinement arrays, about five copies of its (W, s, F, M)
-    support blocks."""
+    and at least one: how many frames a block codes in lockstep, and with
+    them the size of its refinement arrays, about five copies of its
+    (W, s, F, M) support blocks; the scoring holds one bin slab of them."""
     return max(1, SCORE_BUDGET_BYTES // (16 * bins * num_atoms * workers))
 
 
@@ -286,19 +286,19 @@ def po_omp_batch(Y, D, cfg=None):
     calling process and up to n - 1 helper processes forked for this call
     (``_share_out``), all writing into the batch's arrays, which live in
     one shared anonymous mmap; a single block is coded by the caller alone.
+    The caller codes again every block that a helper leaves unfinished, so
+    an exception comes from its own call of ``_code_block``.
     """
     cfg = cfg or PursuitConfig()
     Y = _frame_matrix(Y, D)
-    batch = _shared_batch(D.num_atoms, cfg.s_max, D.bins, Y)
+    batch = _shared_batch(D.num_atoms, cfg.s_max, D.bins, Y.shape)
     blocks = D.blocks()
     workers = _worker_count()
     spans = _column_blocks(Y.shape[1], _block_width(D.bins, D.num_atoms, workers))
 
     def code(a, b):
-        _code_block(
-            Y[:, a:b], blocks, cfg, batch.support[:, a:b], batch.lengths[a:b],
-            batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b],
-        )
+        _code_block(Y[:, a:b], blocks, cfg, batch.support[:, a:b], batch.lengths[a:b],
+                    batch.gains[a:b], batch.columns[:, :, a:b], batch.residual[:, a:b])
 
     _share_out(code, spans, min(workers, len(spans)) - 1)
     return batch
@@ -316,21 +316,22 @@ def _shared_arrays(*specs):
             for (shape, dtype), n, offset in zip(specs, counts, offsets)]
 
 
-def _shared_batch(num_atoms, slots, bins, Y):
-    """``CodingBatch.empty``'s arrays in shared memory, the residual a copy
-    of the (M*F, T) frames Y; the 16-byte complex arrays come first."""
-    T = Y.shape[1]
+def _shared_batch(num_atoms, slots, bins, shape):
+    """``CodingBatch.empty``'s arrays for frames of the (M*F, T) ``shape``,
+    zeroed, in shared memory; the 16-byte complex arrays come first."""
+    T = shape[1]
     residual, columns, gains, support, lengths = _shared_arrays(
-        (Y.shape, np.complex128), ((bins, slots, T), np.complex128), ((T, slots), float),
+        (shape, np.complex128), ((bins, slots, T), np.complex128), ((T, slots), float),
         ((slots, T), int), ((T,), int))
-    residual[...] = Y
     return CodingBatch(num_atoms, support, lengths, gains, columns, residual)
 
 
 def _frame_matrix(Y, D):
     """Y as a complex128 (M*F, T) frame matrix for the dictionary D; raises
-    ValueError on any other shape or on a non-finite entry.  Every pursuit
-    entry passes its frames through here, one frame as an (M*F, 1) matrix."""
+    ValueError on any other shape, a non-finite entry or a D with no atoms.
+    Every pursuit entry passes its frames through here, one frame as (M*F, 1)."""
+    if D.num_atoms == 0:
+        raise ValueError("dictionary has no atoms")
     Y = np.asarray(Y, dtype=np.complex128)
     mf = D.channels * D.bins
     if Y.ndim != 2 or Y.shape[0] != mf:
@@ -349,95 +350,76 @@ def _share_out(code, spans, helpers):
     indices.  With no ``os.fork``, or with other live threads, which a fork
     leaves in an unsafe state, the caller codes every span alone.
 
-    A span that raises stops the queue; every process finishes its current
-    span, and the exception of the earliest failed span is raised here with
-    its type and args.  Each helper sends back its spans' increments of the
-    ``linalg.diagnostics`` counters, added here in span order.  Any other
-    exit, such as an interrupt, kills the helpers; every helper is reaped
-    before this returns or raises.
+    Every process marks a span in the shared ``done`` array once it has
+    coded it, a helper only after writing the span's increments of the
+    ``linalg.diagnostics`` counters, added here in span order.  A helper
+    that raises or dies just ends: once all are reaped, the caller codes
+    every unmarked span, in span order, so an exception raised here is the
+    caller's own.  Any exception of the caller, an interrupt included,
+    kills the helpers first; every helper is reaped before this returns or
+    raises.  ``code`` must give a clean run's outputs over a half-written span.
     """
     # _thread._count() counts the live threads besides the main one, as
     # threading.active_count() - 1 does
     if helpers < 1 or not hasattr(os, "fork") or _thread._count():
         helpers = 0
-    counts = _shared_arrays(((len(spans), len(_COUNTED)), np.int64))[0]
+    counts, done = _shared_arrays(((len(spans), len(_COUNTED)), np.int64), ((len(spans),), np.int8))
     caller, queue = os.getpid(), os.pipe()
-    pids, reports, statuses = [], [], []
-    finished = False
+    pids, finished = [], False
     try:
         os.write(queue[1], _INDEX.pack(0))
         with _interrupts_held(helpers):
             for _ in range(helpers):
-                read_end, write_end = os.pipe()
-                reports.append(read_end)
-                try:
-                    pid = os.fork()
-                    if pid == 0:  # a helper: it never unwinds into the caller's frames
-                        status = 1
-                        try:
-                            gc.disable()  # no finalizer of the caller's garbage runs here
-                            failure = _drain(code, spans, queue, counts, caller)
-                            if failure is not None:
-                                with open(write_end, "wb", closefd=False) as report:
-                                    report.write(_pickled(*failure))
-                            status = 0
-                        finally:
-                            os._exit(status)
-                finally:
-                    os.close(write_end)
+                pid = os.fork()
+                if pid == 0:  # a helper: it never unwinds into the caller's frames
+                    try:
+                        gc.disable()  # no finalizer of the caller's garbage runs here
+                        _drain(code, spans, queue, done, counts, caller)
+                    finally:
+                        os._exit(0)
                 pids.append(pid)
-        own = _drain(code, spans, queue)
-        # a helper's report ends when it exits, so this waits for every helper
-        failures = [pickle.loads(blob) for blob in map(_read_all, reports) if blob]
+        _drain(code, spans, queue, done)
         finished = True
     finally:
         with _interrupts_held(pids):
             for pid in pids:
                 if not finished:
                     os.kill(pid, signal.SIGKILL)
-                statuses.append(os.waitpid(pid, 0)[1])
-            for fd in queue + tuple(reports):
+                os.waitpid(pid, 0)
+            for fd in queue:
                 os.close(fd)
-            diagnostics.add(**dict(zip(_COUNTED, map(int, counts.sum(axis=0)))))
-    failures += [own] if own else []
-    if failures:  # each span is coded once, so no two share an index
-        raise min(failures, key=lambda f: f[0])[1]
-    for pid, status in zip(pids, statuses):
-        if status:
-            raise RuntimeError("helper process %d exited with status %d, its spans uncoded"
-                               % (pid, os.waitstatus_to_exitcode(status)))
+            # a helper may die between its counts and its mark: those spans are coded again
+            diagnostics.add(**dict(zip(_COUNTED, map(int, counts[done == 1].sum(axis=0)))))
+    left = np.flatnonzero(done == 0)
+    if left.size:
+        log.warning("%d of %d column blocks coded again in the calling process", left.size, len(spans))
+    for i in left:
+        code(*spans[i])
 
 
-def _drain(code, spans, queue, counts=None, caller=None):
+def _drain(code, spans, queue, done, counts=None, caller=None):
     """The span loop of ``_share_out``: code the spans whose indices the
-    queue hands out until it runs out or is stopped.  Returns (index,
-    exception) of a span that raised, once it has stopped the queue, or
-    None.  A helper passes ``counts``, (spans, len(_COUNTED)), to receive
-    each span's increments of its own copy of the diagnostics counters, and
-    ``caller``, the calling process's pid: once that process has died, as
-    under SIGKILL, the helper takes no new span."""
+    queue hands out, marking each in ``done``, until it runs out; exceptions
+    propagate.  A helper passes ``counts`` to receive each span's increments
+    of its own diagnostics counters, and ``caller``, the calling process's
+    pid: once that process has died, as under SIGKILL, it takes no new span."""
     while (i := _take(queue, len(spans))) is not None:
         if caller is not None and os.getppid() != caller:
             break
         before = [getattr(diagnostics, name) for name in _COUNTED]
-        try:
-            code(*spans[i])
-        except Exception as exc:
-            _take(queue, len(spans), stop=True)
-            return i, exc
-        finally:
-            if counts is not None:
-                counts[i] = [getattr(diagnostics, name) - n for name, n in zip(_COUNTED, before)]
-    return None
+        code(*spans[i])
+        if counts is not None:
+            counts[i] = [getattr(diagnostics, name) - n for name, n in zip(_COUNTED, before)]
+        done[i] = 1
 
 
-def _take(queue, n, stop=False):
+def _take(queue, n):
     """The next of n span indices from the queue pipe, or None once they
-    are all taken or the queue is stopped.  The pipe holds one index, so a
-    process that reads it holds the queue until it writes the next one
-    back; ``stop`` writes back n instead."""
+    are all taken.  The pipe holds one index, so a process that reads it
+    holds the queue until it writes the next one back; one killed in between
+    leaves every other process, the caller too, blocked in its read for good."""
     (i,) = _INDEX.unpack(os.read(queue[0], _INDEX.size))
-    os.write(queue[1], _INDEX.pack(n if stop else min(i + 1, n)))
+    os.write(queue[1], _INDEX.pack(min(i + 1, n)))
     return i if i < n else None
 
 
@@ -457,29 +439,14 @@ def _interrupts_held(hold):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _pickled(i, exc):
-    """(i, exc) pickled, or with a RuntimeError carrying exc's repr in its
-    place when exc does not come back from a pickle round trip."""
-    try:
-        blob = pickle.dumps((i, exc))
-        pickle.loads(blob)
-        return blob
-    except Exception:
-        return pickle.dumps((i, RuntimeError(repr(exc))))
-
-
-def _read_all(fd):
-    """Bytes from the pipe ``fd`` until every writer has closed it."""
-    with open(fd, "rb", closefd=False) as pipe:
-        return pipe.read()
-
-
 def _code_block(Y, blocks, cfg, supp, supp_len, gains, cols, R):
     """Greedy PO-OMP on the frames Y (MF, T) against the dictionary's
-    (F, M, K) blocks, writing into views of one CodingBatch's arrays; R
-    holds Y on entry."""
+    (F, M, K) blocks, writing into views of one CodingBatch's arrays.  R,
+    the one array read before it is written, is set to Y on entry, so a
+    block left half coded is coded again with a clean run's bits."""
     F, M, _ = blocks.shape
     T = Y.shape[1]
+    R[...] = Y
     norms = np.linalg.norm(R, axis=0)
     greedy = np.ones(T, dtype=bool)
 

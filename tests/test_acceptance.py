@@ -1,13 +1,16 @@
 """End-to-end acceptance checks.
 
 Each test covers one numbered claim about the system, prints a single
-pass/fail line with its runtime, and enforces the stated tolerance.
+pass/fail line with its runtime, and enforces the stated tolerance; a
+generated-case companion of a claim enforces it and prints nothing.
 """
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poksvd.cli import main
 from poksvd.dictio import load_dictionary, save_dictionary
@@ -283,6 +286,35 @@ def test_criterion_6_classic_baseline_degeneration():
     report(6, "classic-baseline degeneration", ok, elapsed, "max trace diff %.2e" % diff)
     assert len(ours) == len(ref_trace)
     assert diff <= 1e-8
+
+
+@st.composite
+def classic_problems(draw):
+    """Over-determined single-channel problems (F, K, T, s, seed): 2K <= T
+    and s < min(F, K).  Outside them, as with s >= F, s >= K or T = K, the
+    two learners can part on near-ties and rank-deficient fits."""
+    F, K = draw(st.integers(4, 12)), draw(st.integers(2, 5))
+    T = draw(st.integers(2 * K, 24))
+    return F, K, T, draw(st.integers(1, min(F, K) - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(classic_problems())
+def test_criterion_6_on_generated_problems(problem):
+    # po_ksvd may stop early once the objective stalls, so the traces are
+    # compared on the iterations both ran
+    F, K, T, s_max, seed = problem
+    Y = random_complex(np.random.default_rng(seed), F, T)
+    tau, iters = 1e-10, 4
+    pcfg = PursuitConfig(s_max=s_max, tau=tau, epsilon=1e-6, max_refine_iters=50,
+                         phase_optimization=False)
+    cfg = LearningConfig(num_atoms=K, pursuit=pcfg, epsilon_outer=1e-12,
+                         max_outer_iters=iters, seed=seed % 1000, dedupe_coherence=0.0)
+    ours = po_ksvd(Y, 1, cfg).objective_trace
+    ref_trace = reference_ksvd(Y, K, s_max, tau, seed % 1000, iters)
+    assert ours
+    for a, b in zip(ref_trace, ours):
+        assert abs(a - b) <= 1e-8 * abs(a)
 
 
 def test_criterion_7_denoising_margin():

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import poksvd
 import poksvd.cli
 from poksvd import pursuit
 from poksvd.cli import build_parser, main, parse_args
-from poksvd.dictio import load_dictionary, save_dictionary
+from poksvd.dictio import MAGIC, load_dictionary, save_dictionary
 from poksvd.pipeline import apply_mask, denoise, random_dictionary
 from poksvd.pursuit import PursuitConfig
 from poksvd.stft import StftConfig, istft, stft
@@ -487,6 +488,18 @@ class TestDenoiseAndEval:
         err = capsys.readouterr().err
         assert str(d) in err and "sample_rate" in err
         assert not (tmp_path / "c.wav").exists()
+
+    @pytest.mark.parametrize("command", ["denoise", "code"])
+    def test_dictionary_with_no_atoms_is_io_error(self, tmp_path, noise_wav, capsys, command):
+        d = tmp_path / "d.bin"
+        d.write_bytes(MAGIC + struct.pack("<6I", 2, 17, 0, 8000, 32, 16))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main([command, "--input", str(noise_wav), "--output", str(out), "--dict", str(d),
+                   "--window-len", "32", "--hop", "16"])
+        assert rc == 2
+        assert "error: %s: header has M=2, F=17, K=0" % d in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "denoise", "code", "eval"])
     def test_zero_sample_rate_wav_is_io_error(self, tmp_path, noise_wav, capsys, command):

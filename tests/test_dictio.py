@@ -120,3 +120,12 @@ class TestLoadErrors:
         path.write_bytes(bytes(blob))
         with pytest.raises(DictionaryFileError, match=re.escape(str(path)) + ".*sample_rate"):
             load_dictionary(path)
+
+    @pytest.mark.parametrize("m, f, k", [(2, 513, 0), (0, 513, 40), (2, 0, 40), (0, 0, 0)])
+    def test_header_with_no_atoms_or_no_rows(self, tmp_path, m, f, k):
+        # a payload of m * f * k = 0 bytes matches the header's size
+        path = tmp_path / "empty.bin"
+        path.write_bytes(MAGIC + struct.pack("<6I", m, f, k, 16000, 1024, 512))
+        with pytest.raises(DictionaryFileError,
+                           match=re.escape("%s: header has M=%d, F=%d, K=%d" % (path, m, f, k))):
+            load_dictionary(path)

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import functools
 import os
@@ -606,38 +605,6 @@ class TestWorkingSet:
         assert traced_peak(lambda: pursuit._batch_scores(R3, blocks, cfg)) <= mib * 2**20
 
 
-class NotRebuilt(Exception):
-    """An exception that pickles but cannot be rebuilt from its args."""
-
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
-@contextlib.contextmanager
-def failing_helper(fail):
-    """``_code_block`` replaced so that a helper calls ``fail()`` on the
-    first block it takes, and the caller codes its own first block only
-    once a helper has done so."""
-    caller, (ready, failed) = os.getpid(), os.pipe()
-    code_block = pursuit._code_block
-
-    def code(*args):
-        if os.getpid() == caller:
-            assert select.select([ready], [], [], 10)[0]  # leave the next block to a helper
-            return code_block(*args)
-        os.write(failed, b"x")
-        return fail()
-
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pursuit, "_code_block", code)
-            yield
-    finally:
-        os.close(ready)
-        os.close(failed)
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -661,26 +628,69 @@ class TestWorkers:
         assert counts[0] == counts[1]
         assert getattr(diagnostics, counter) > 0
 
-    @pytest.mark.parametrize("error, expected", [
-        (ValueError("block failed", 7), ValueError("block failed", 7)),
-        (NotRebuilt("not rebuilt", 2), RuntimeError(repr(NotRebuilt("not rebuilt", 2)))),
-    ])
-    def test_helper_error_is_raised_and_no_child_is_left(self, error, expected):
-        D, Y, _ = generated((2, 4, 3, 12, 2, 8))
+    @pytest.mark.parametrize("death", ["raise", "kill"])
+    def test_block_a_helper_leaves_is_coded_by_the_caller(self, death, caplog):
+        # the helper fails in the second greedy step of its first block, whose
+        # residual, gains and columns hold the first step's code by then
+        D, Y, _ = generated((2, 8, 6, 24, 3, 5))
+        cfg = PursuitConfig(s_max=3, tau=0, epsilon=1e-12, max_refine_iters=2)
+        diagnostics.reset()
+        one = coded_in_blocks(Y, D, cfg, 3)
+        expected = diagnostics.refine_cap_hits, diagnostics.ridge_fallbacks
+        caller, (ready, failed) = os.getpid(), os.pipe()
+        batch_refine, calls = pursuit._batch_refine, []
 
-        def fail():
-            raise error
+        def refine(*args):
+            if os.getpid() == caller:
+                assert select.select([ready], [], [], 10)[0]  # leave a block to the helper
+            else:
+                calls.append(1)
+                if len(calls) == 2:
+                    os.write(failed, b"x")
+                    if death == "kill":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise ValueError("helper failed", 2)
+            return batch_refine(*args)
 
-        with failing_helper(fail), pytest.raises(type(expected)) as raised:
-            coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 2)
-        assert raised.value.args == expected.args
+        diagnostics.reset()
+        try:
+            with pytest.MonkeyPatch.context() as mp, caplog.at_level("WARNING", "poksvd.pursuit"):
+                mp.setattr(pursuit, "_batch_refine", refine)
+                coded = coded_in_blocks(Y, D, cfg, 3, 2)
+        finally:
+            os.close(ready)
+            os.close(failed)
         assert_no_child_left()
+        for name in ("support", "lengths", "gains", "columns", "residual"):
+            assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
+        assert (diagnostics.refine_cap_hits, diagnostics.ridge_fallbacks) == expected
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 of 8 column blocks coded again in the calling process"]
 
-    def test_helper_that_dies_fails_the_call(self):
-        D, Y, _ = generated((2, 4, 3, 12, 2, 8))
-        with failing_helper(lambda: os.kill(os.getpid(), signal.SIGKILL)):
-            with pytest.raises(RuntimeError, match="exited with status -9, its spans uncoded"):
+    def test_block_that_fails_everywhere_is_raised_by_the_caller(self):
+        D, Y, _ = generated((2, 4, 3, 13, 2, 8))  # six two-frame blocks and a one-frame block
+        caller, (ready, failed) = os.getpid(), os.pipe()
+        code_block = pursuit._code_block
+
+        def fail_last_block(Y, *args):
+            if os.getpid() == caller:
+                select.select([ready], [], [], 10)  # the helper reaches the last block first
+            if Y.shape[1] == 1:
+                if os.getpid() != caller:
+                    os.write(failed, b"x")
+                raise ValueError("block failed", 7)
+            return code_block(Y, *args)
+
+        try:
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError) as raised:
+                mp.setattr(pursuit, "_code_block", fail_last_block)
                 coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 2)
+            assert select.select([ready], [], [], 0)[0]  # the helper failed on it too
+        finally:
+            os.close(ready)
+            os.close(failed)
+        assert raised.value.args == ("block failed", 7)
+        assert raised.traceback[-1].name == "fail_last_block"
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError("caller failed", 3), KeyboardInterrupt()])
