@@ -21,7 +21,6 @@ import logging
 import mmap
 import os
 import signal
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,6 @@ log = logging.getLogger(__name__)
 # in flight may stand for together; sets the block width of po_omp_batch, so
 # its memory does not grow with T or with the worker count.
 SCORE_BUDGET_BYTES = 16 * 2**20
-
-# One span index as it passes through the queue pipe of _share_out.
-_INDEX = struct.Struct("q")
 
 # The diagnostics counters that a helper process sends back for each span.
 _COUNTED = ("refine_cap_hits", "ridge_fallbacks")
@@ -254,9 +250,8 @@ def _block_width(bins, num_atoms, workers=1):
 def chunk_width(bins, num_atoms):
     """Frames that one ``po_omp_batch`` call codes as exactly two column
     blocks per available core: 2 * n * ``_block_width(bins, num_atoms, n)``.
-    Callers that code a long input in pieces use it as the piece size: every
-    core gets full blocks in each call, and with two per core the shared
-    queue evens out blocks that take different numbers of sweeps."""
+    Callers that code a long input in pieces use it as the piece size, so
+    that every core gets two full blocks of its own in each call."""
     workers = _worker_count()
     return 2 * workers * _block_width(bins, num_atoms, workers)
 
@@ -345,10 +340,12 @@ def _frame_matrix(Y, D):
 def _share_out(code, spans, helpers):
     """Call ``code(a, b)`` for every span, in the calling process and in up
     to ``helpers`` helper processes forked here, which see ``code``'s inputs
-    as they were at the fork and write its outputs into shared memory.  All
-    of them run one span loop (``_drain``) on one shared queue of span
-    indices.  With no ``os.fork``, or with other live threads, which a fork
-    leaves in an unsafe state, the caller codes every span alone.
+    as they were at the fork and write its outputs into shared memory.  Of
+    n processes, process p codes the spans ``range(p, len(spans), n)`` in
+    one span loop (``_drain``); the caller is process 0.  With no
+    ``os.fork``, or with other live threads, which a fork leaves in an
+    unsafe state, the caller codes every span alone; a fork that fails, as
+    for want of processes or memory, starts no further helper.
 
     Every process marks a span in the shared ``done`` array once it has
     coded it, a helper only after writing the span's increments of the
@@ -364,21 +361,23 @@ def _share_out(code, spans, helpers):
     if helpers < 1 or not hasattr(os, "fork") or _thread._count():
         helpers = 0
     counts, done = _shared_arrays(((len(spans), len(_COUNTED)), np.int64), ((len(spans),), np.int8))
-    caller, queue = os.getpid(), os.pipe()
+    caller, n = os.getpid(), helpers + 1
     pids, finished = [], False
     try:
-        os.write(queue[1], _INDEX.pack(0))
         with _interrupts_held(helpers):
-            for _ in range(helpers):
-                pid = os.fork()
+            for p in range(1, n):
+                try:
+                    pid = os.fork()
+                except OSError:  # the spans of the helpers not started are left over
+                    break
                 if pid == 0:  # a helper: it never unwinds into the caller's frames
                     try:
                         gc.disable()  # no finalizer of the caller's garbage runs here
-                        _drain(code, spans, queue, done, counts, caller)
+                        _drain(code, spans, range(p, len(spans), n), done, counts, caller)
                     finally:
                         os._exit(0)
                 pids.append(pid)
-        _drain(code, spans, queue, done)
+        _drain(code, spans, range(0, len(spans), n), done)
         finished = True
     finally:
         with _interrupts_held(pids):
@@ -386,8 +385,6 @@ def _share_out(code, spans, helpers):
                 if not finished:
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            for fd in queue:
-                os.close(fd)
             # a helper may die between its counts and its mark: those spans are coded again
             diagnostics.add(**dict(zip(_COUNTED, map(int, counts[done == 1].sum(axis=0)))))
     left = np.flatnonzero(done == 0)
@@ -397,13 +394,13 @@ def _share_out(code, spans, helpers):
         code(*spans[i])
 
 
-def _drain(code, spans, queue, done, counts=None, caller=None):
-    """The span loop of ``_share_out``: code the spans whose indices the
-    queue hands out, marking each in ``done``, until it runs out; exceptions
-    propagate.  A helper passes ``counts`` to receive each span's increments
-    of its own diagnostics counters, and ``caller``, the calling process's
-    pid: once that process has died, as under SIGKILL, it takes no new span."""
-    while (i := _take(queue, len(spans))) is not None:
+def _drain(code, spans, indices, done, counts=None, caller=None):
+    """The span loop of ``_share_out``: code the spans of the given
+    indices in order, marking each in ``done``; exceptions propagate.  A
+    helper passes ``counts`` to receive each span's increments of its own
+    diagnostics counters, and ``caller``, the calling process's pid: once
+    that process has died, as under SIGKILL, it takes no new span."""
+    for i in indices:
         if caller is not None and os.getppid() != caller:
             break
         before = [getattr(diagnostics, name) for name in _COUNTED]
@@ -411,16 +408,6 @@ def _drain(code, spans, queue, done, counts=None, caller=None):
         if counts is not None:
             counts[i] = [getattr(diagnostics, name) - n for name, n in zip(_COUNTED, before)]
         done[i] = 1
-
-
-def _take(queue, n):
-    """The next of n span indices from the queue pipe, or None once they
-    are all taken.  The pipe holds one index, so a process that reads it
-    holds the queue until it writes the next one back; one killed in between
-    leaves every other process, the caller too, blocked in its read for good."""
-    (i,) = _INDEX.unpack(os.read(queue[0], _INDEX.size))
-    os.write(queue[1], _INDEX.pack(min(i + 1, n)))
-    return i if i < n else None
 
 
 @contextlib.contextmanager

@@ -1,13 +1,16 @@
 import dataclasses
+import errno
 import functools
 import os
 import select
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -664,11 +667,13 @@ class TestWorkers:
         for name in ("support", "lengths", "gains", "columns", "residual"):
             assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
         assert (diagnostics.refine_cap_hits, diagnostics.ridge_fallbacks) == expected
+        # the helper's whole share, blocks 1, 3, 5 and 7
         assert [r.getMessage() for r in caplog.records] == [
-            "1 of 8 column blocks coded again in the calling process"]
+            "4 of 8 column blocks coded again in the calling process"]
 
     def test_block_that_fails_everywhere_is_raised_by_the_caller(self):
-        D, Y, _ = generated((2, 4, 3, 13, 2, 8))  # six two-frame blocks and a one-frame block
+        # five two-frame blocks and a one-frame block, the helper's blocks 1, 3 and 5
+        D, Y, _ = generated((2, 4, 3, 11, 2, 8))
         caller, (ready, failed) = os.getpid(), os.pipe()
         code_block = pursuit._code_block
 
@@ -717,9 +722,79 @@ class TestWorkers:
         assert forks == [1, 1]
         assert_no_child_left()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_block_is_coded_once_by_its_owner(self, workers, caplog):
+        # of n processes, process p codes blocks p, p + n, ...; the caller is 0
+        D, Y, _ = generated((2, 4, 3, 13, 2, 8))  # six two-frame blocks and a one-frame block
+        forks, fork = [], os.fork
+        record, (read, write) = struct.Struct("qq"), os.pipe()
+        code_block = pursuit._code_block
+
+        def recorded(block, *args):
+            first = np.flatnonzero((Y == block[:, :1]).all(axis=0))[0]
+            os.write(write, record.pack(os.getpid(), first))
+            return code_block(block, *args)
+
+        def counted_fork():
+            forks.append(fork())
+            return forks[-1]
+
+        try:
+            with pytest.MonkeyPatch.context() as mp, caplog.at_level("WARNING", "poksvd.pursuit"):
+                mp.setattr(pursuit, "_code_block", recorded)
+                mp.setattr(os, "fork", counted_fork)
+                coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, workers)
+            coded = sorted((int(first), pid) for pid, first in record.iter_unpack(os.read(read, 4096)))
+        finally:
+            os.close(read)
+            os.close(write)
+        assert_no_child_left()
+        owners = [os.getpid()] + forks
+        assert len(owners) == workers
+        assert coded == [(a, owners[i % workers]) for i, (a, _) in enumerate(pursuit._column_blocks(13, 2))]
+        assert not caplog.records
+
+    def test_blocks_of_a_helper_that_fails_to_fork_are_coded_by_the_caller(self, caplog):
+        D, Y, _ = generated((2, 4, 3, 13, 2, 8))
+        cfg = PursuitConfig(s_max=2)
+        one = coded_in_blocks(Y, D, cfg, 2)
+        forks, fork = [], os.fork
+
+        def fork_once():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        with pytest.MonkeyPatch.context() as mp, caplog.at_level("WARNING", "poksvd.pursuit"):
+            mp.setattr(os, "fork", fork_once)
+            coded = coded_in_blocks(Y, D, cfg, 2, 3)
+        assert forks == [1, 1]
+        assert_no_child_left()
+        for name in ("support", "lengths", "gains", "columns", "residual"):
+            assert getattr(coded, name).tobytes() == getattr(one, name).tobytes(), name
+        # the share of the helper that never started, blocks 2 and 5
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 7 column blocks coded again in the calling process"]
+
+    # From 3.12, os.fork warns when it sees other OS threads in the process.
+    # numpy's OpenBLAS pool is one, started by a BLAS call and closed by a fork.
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="os.fork warns about threads from 3.12")
+    def test_blas_pool_does_not_make_fork_warn(self):
+        D, Y, _ = generated((2, 4, 3, 13, 2, 8))
+        forks, fork = [], os.fork
+        np.ones((256, 256)) @ np.ones((256, 256))
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            coded_in_blocks(Y, D, PursuitConfig(s_max=2), 2, 2)
+        assert forks == [1]
+        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)
+                    and "use of fork() may lead to deadlocks" in str(w.message)]
+
     def test_helper_of_a_killed_caller_takes_no_new_block(self):
         # The caller SIGKILLs itself in its first one-frame block. Its helper
-        # has 39 blocks of 0.2 s left and holds the output pipe, which closes
+        # has 20 blocks of 0.2 s and holds the output pipe, which closes
         # only once the helper has exited too.
         script = """if True:
             import os, signal, time
